@@ -21,6 +21,18 @@ type result = {
       (** EM diagnostics; [None] for the CSP method *)
 }
 
+val solve :
+  ?csp_config:Csp_segmenter.config ->
+  ?prob_config:Prob_segmenter.config ->
+  method_:method_ ->
+  Pipeline.prepared ->
+  result
+(** Run the chosen segmentation method on an already prepared front
+    half: {!Csp_segmenter.segment} for [Csp], {!Prob_segmenter.segment}
+    (whose diagnostics are kept) for [Probabilistic]. {!segment} ends
+    with this call; a caller that builds the {!Pipeline.prepared} value
+    some other way, such as incrementally, calls it directly. *)
+
 val segment :
   ?pipeline_config:Pipeline.config ->
   ?template_cache:Pipeline.template_cache ->

@@ -44,19 +44,28 @@ let page_set_key list_pages =
                Printf.sprintf "%d:%s" (String.length page) page)
              list_pages)))
 
-(* Locate the table slot; None when the induced template is unusable
-   (paper notes a/b). *)
-let locate_table config ?cache ~key pages page =
-  if List.length pages < 2 then (None, 0)
+let locate_table ?(config = default_config) ?cached pages =
+  let page =
+    match pages with
+    | page :: _ -> page
+    | [] -> invalid_arg "Pipeline.locate_table: no list pages"
+  in
+  (* The induced template is unusable (paper notes a/b). *)
+  let fallback template_size =
+    ( Slot.whole_page page,
+      [ Segmentation.Template_problem; Segmentation.Entire_page_used ],
+      template_size )
+  in
+  if List.length pages < 2 then fallback 0
   else begin
     let induce () =
       Instrument.time ~stage:"pipeline.template" (fun () ->
           Template.induce pages)
     in
     let template =
-      match cache with
+      match cached with
       | None -> induce ()
-      | Some cache -> (
+      | Some (cache, key) -> (
         match cache.find_template ~key with
         | Some template -> template
         | None ->
@@ -65,21 +74,21 @@ let locate_table config ?cache ~key pages page =
           template)
     in
     let template_size = Template.size template in
-    if template_size < config.min_template_tokens then (None, template_size)
+    if template_size < config.min_template_tokens then fallback template_size
     else begin
       let slots = Template.slots template page in
       let total_words =
         List.fold_left (fun acc slot -> acc + Slot.word_count slot) 0 slots
       in
       match Slot.table_slot slots with
-      | None -> (None, template_size)
+      | None -> fallback template_size
       | Some slot ->
         let cover =
           if total_words = 0 then 0.
           else float_of_int (Slot.word_count slot) /. float_of_int total_words
         in
-        if cover < config.min_slot_cover then (None, template_size)
-        else (Some slot, template_size)
+        if cover < config.min_slot_cover then fallback template_size
+        else (slot, [], template_size)
     end
   end
 
@@ -93,23 +102,18 @@ let prepare ?(config = default_config) ?template_cache input =
           List.map Tokenizer.tokenize input.detail_pages ))
   in
   let page = List.hd pages in
-  let others = List.tl pages in
-  let key = page_set_key input.list_pages in
-  let located, template_size =
-    locate_table config ?cache:template_cache ~key pages page
+  let cached =
+    Option.map
+      (fun cache -> (cache, page_set_key input.list_pages))
+      template_cache
   in
-  let table_slot, notes =
-    match located with
-    | Some slot -> (slot, [])
-    | None ->
-      ( Slot.whole_page page,
-        [ Segmentation.Template_problem; Segmentation.Entire_page_used ] )
-  in
+  let table_slot, notes, template_size = locate_table ~config ?cached pages in
   Log.debug (fun m ->
       m "template %d tokens, table slot %a" template_size Slot.pp table_slot);
   Instrument.time ~stage:"pipeline.extract" (fun () ->
       let extracts = Extract.of_slot table_slot in
       let observation =
-        Observation.build ~other_list_pages:others ~extracts ~details ()
+        Observation.build ~other_list_pages:(List.tl pages) ~extracts ~details
+          ()
       in
       { page; table_slot; observation; notes; template_size })

@@ -55,6 +55,25 @@ type prepared = {
   template_size : int;  (** tokens in the induced template; 0 if none *)
 }
 
+val locate_table :
+  ?config:config ->
+  ?cached:template_cache * string ->
+  Token.t array list ->
+  Slot.t * Segmentation.note list * int
+(** [locate_table pages] locates the table slot on the first of the
+    tokenized list [pages], using a template induced over all of them
+    (paper Section 3.1). The result is the table slot, the fallback
+    notes and the template size (0 when fewer than two pages leave
+    nothing to induce). When the template is unusable — too small, no
+    table slot, or a table slot holding less than [min_slot_cover] of
+    the slot words — the slot is the entire first page and the notes are
+    [[Template_problem; Entire_page_used]] (paper notes a/b); otherwise
+    the notes are empty. With [~cached:(cache, key)] the template is
+    looked up under [key] (the {!page_set_key} of the raw pages) before
+    it is induced, and stored after. Induction emits the
+    [pipeline.template] stage event.
+    @raise Invalid_argument if [pages] is empty. *)
+
 val prepare : ?config:config -> ?template_cache:template_cache -> input -> prepared
 (** Run the front half. With [~template_cache], template induction is
     skipped when the cache already holds the template of this list-page

@@ -10,34 +10,50 @@ type t = {
   num_details : int;
 }
 
-let build ?(other_list_pages = []) ~extracts ~details () =
-  let num_details = List.length details in
-  let detail_indices = List.map Matching.index_detail details in
-  let list_indices = List.map Matching.index_detail other_list_pages in
-  let observe (extract : Extract.t) =
-    let observations =
-      List.mapi
-        (fun page index ->
-          List.map (fun pos -> (page, pos))
-            (Matching.occurrences index extract.Extract.words))
-        detail_indices
-      |> List.concat
-    in
-    let pages =
-      List.sort_uniq compare (List.map fst observations)
-    in
-    (extract, pages, observations)
-  in
+type builder = {
+  extracts : Extract.t array;
+  other_list_indices : Matching.detail_index list;
+  found : (int * int) list array;  (** per extract, reversed *)
+  mutable details_seen : int;
+}
+
+let start ?(other_list_indices = []) ~extracts () =
+  let extracts = Array.of_list extracts in
+  let n = Array.length extracts in
+  {
+    extracts;
+    other_list_indices;
+    found = Array.make n [];
+    details_seen = 0;
+  }
+
+let add_detail builder detail =
+  let page = builder.details_seen in
+  builder.details_seen <- page + 1;
+  let index = Matching.index_detail detail in
+  Array.iteri
+    (fun i (extract : Extract.t) ->
+      builder.found.(i) <-
+        List.rev_append
+          (List.map
+             (fun pos -> (page, pos))
+             (Matching.occurrences index extract.Extract.words))
+          builder.found.(i))
+    builder.extracts
+
+let finish builder =
+  let num_details = builder.details_seen in
   let on_all_other_lists (extract : Extract.t) =
-    list_indices <> []
+    builder.other_list_indices <> []
     && List.for_all
          (fun index -> Matching.contains index extract.Extract.words)
-         list_indices
+         builder.other_list_indices
   in
   let entries = ref [] and extras = ref [] in
-  List.iter
-    (fun extract ->
-      let extract, pages, positions = observe extract in
+  Array.iteri
+    (fun i extract ->
+      let positions = List.rev builder.found.(i) in
+      let pages = List.sort_uniq compare (List.map fst positions) in
       let uninformative =
         pages = []
         || List.length pages = num_details
@@ -45,12 +61,21 @@ let build ?(other_list_pages = []) ~extracts ~details () =
       in
       if uninformative then extras := extract :: !extras
       else entries := { extract; pages; positions } :: !entries)
-    extracts;
+    builder.extracts;
   {
     entries = Array.of_list (List.rev !entries);
     extras = List.rev !extras;
     num_details;
   }
+
+let build ?(other_list_pages = []) ~extracts ~details () =
+  let builder =
+    start
+      ~other_list_indices:(List.map Matching.index_detail other_list_pages)
+      ~extracts ()
+  in
+  List.iter (add_detail builder) details;
+  finish builder
 
 let candidate_count t =
   Array.fold_left

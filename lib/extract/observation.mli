@@ -31,9 +31,33 @@ val build :
   details:Token.t array list ->
   unit ->
   t
-(** Build the observation table. [other_list_pages] enables the
+(** Build the observation table in one call: {!start}, {!add_detail} for
+    each of [details], then {!finish}. [other_list_pages] enables the
     "appears on all list pages" filter (the extract must also occur on every
     one of them to be dropped). *)
+
+type builder
+(** An observation table under construction, fed one detail page at a
+    time — the incremental form of {!build}, for callers (such as a
+    stream engine) that must not hold every detail page at once. *)
+
+val start :
+  ?other_list_indices:Matching.detail_index list ->
+  extracts:Extract.t list ->
+  unit ->
+  builder
+(** Begin a table over [extracts]. [other_list_indices] are the indexed
+    other list pages that enable the "appears on all list pages" filter;
+    they are taken as already built so several tables can share them. *)
+
+val add_detail : builder -> Token.t array -> unit
+(** Match every extract against the next detail page, in record order.
+    The builder keeps the matches, not the page: the caller may drop the
+    tokens as soon as this returns. *)
+
+val finish : builder -> t
+(** The observation table of the detail pages added so far, equal to
+    {!build} over the same extracts, other list pages and details. *)
 
 val candidate_count : t -> int
 (** Total number of (extract, candidate record) pairs — the number of

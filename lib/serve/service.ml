@@ -121,10 +121,12 @@ let cache_stats t = Option.map Cache.stats t.cache
 let store_stats t = Option.map Store.stats t.store
 let pool_stats t = Pool.stats t.pool
 
-(* One request, on a worker domain. *)
-let process t (request : request) =
-  let started = Unix.gettimeofday () in
-  Metrics.incr t.requests_total;
+(* The result memo around one request, shared by [process] and
+   [segment_stream]: a memoized result goes to [on_hit] and is returned
+   as a hit; otherwise [compute] runs (after the simulated fetch) and an
+   [Ok] result is memoized. Either way the response is timed from
+   [started] and counted. *)
+let with_result_memo t ~started (request : request) ~on_hit compute =
   let finish ~cache_hit outcome =
     let latency_s = Unix.gettimeofday () -. started in
     Metrics.observe t.request_seconds latency_s;
@@ -139,23 +141,21 @@ let process t (request : request) =
       (fun _ -> Cache.request_key ~method_:t.cfg.method_ request.input)
       t.cache
   in
-  let memoized =
+  let cached =
     match (t.cache, key) with
     | Some cache, Some key -> Cache.find_result cache ~key
     | _ -> None
   in
-  match memoized with
-  | Some result -> finish ~cache_hit:true (Ok result)
+  match cached with
+  | Some result ->
+    on_hit result;
+    finish ~cache_hit:true (Ok result)
   | None ->
     (* A live deployment would fetch the pages here; the benchmark knob
        models that wait so the pool's overlap is measurable. *)
     if t.cfg.simulated_fetch_s > 0. then Unix.sleepf t.cfg.simulated_fetch_s;
-    let template_cache = Option.map Cache.template_cache t.cache in
     let outcome =
-      match
-        Tabseg.Api.segment_result ?template_cache ~method_:t.cfg.method_
-          request.input
-      with
+      match compute () with
       | Ok result ->
         (match (t.cache, key) with
         | Some cache, Some key -> Cache.store_result cache ~key result
@@ -164,6 +164,15 @@ let process t (request : request) =
       | Error input_error -> Error (Invalid_input input_error)
     in
     finish ~cache_hit:false outcome
+
+(* One request, on a worker domain. *)
+let process t (request : request) =
+  let started = Unix.gettimeofday () in
+  Metrics.incr t.requests_total;
+  with_result_memo t ~started request ~on_hit:ignore (fun () ->
+      let template_cache = Option.map Cache.template_cache t.cache in
+      Tabseg.Api.segment_result ?template_cache ~method_:t.cfg.method_
+        request.input)
 
 (* Group a batch by site, preserving first-appearance order of groups
    and request order within each group. *)
@@ -242,7 +251,7 @@ let segment_one t request =
    [on_record] as soon as their detail evidence is complete, on the
    caller's domain. Cache hits replay their records through the same
    surface, so consumers see one shape either way. *)
-let segment_stream t ?on_progress ~on_record (request : request) =
+let segment_stream t ~on_record (request : request) =
   let started = Unix.gettimeofday () in
   Metrics.incr t.requests_total;
   Metrics.incr t.stream_requests;
@@ -254,53 +263,25 @@ let segment_stream t ?on_progress ~on_record (request : request) =
     end;
     on_record record
   in
-  let finish ~cache_hit outcome =
-    let latency_s = Unix.gettimeofday () -. started in
-    Metrics.observe t.request_seconds latency_s;
-    (match outcome with
-    | Ok _ -> Metrics.incr t.requests_ok
-    | Error _ -> Metrics.incr t.requests_failed);
-    if cache_hit then Metrics.incr t.cache_hits;
-    { id = request.id; outcome; cache_hit; latency_s }
+  let on_hit result =
+    List.iter emit result.Tabseg.Api.segmentation.Tabseg.Segmentation.records
   in
-  let key =
-    Option.map
-      (fun _ -> Cache.request_key ~method_:t.cfg.method_ request.input)
-      t.cache
-  in
-  let memoized =
-    match (t.cache, key) with
-    | Some cache, Some key -> Cache.find_result cache ~key
-    | _ -> None
-  in
-  match memoized with
-  | Some result ->
-    List.iter emit result.Tabseg.Api.segmentation.Tabseg.Segmentation.records;
-    finish ~cache_hit:true (Ok result)
-  | None ->
-    if t.cfg.simulated_fetch_s > 0. then Unix.sleepf t.cfg.simulated_fetch_s;
-    let config =
-      {
-        Tabseg_stream.Engine.default_config with
-        Tabseg_stream.Engine.method_ = t.cfg.method_;
-      }
-    in
-    let outcome, summary =
-      Tabseg_stream.Runner.stream_input ~config ?on_progress ~on_record:emit
-        request.input
-    in
-    Metrics.set t.stream_live_tokens
-      (Float.max
-         (Metrics.gauge_value t.stream_live_tokens)
-         (float_of_int summary.Tabseg_stream.Frame.live_tokens_hwm));
-    (match outcome with
-    | Ok result ->
-      (match (t.cache, key) with
-      | Some cache, Some key -> Cache.store_result cache ~key result
-      | _ -> ());
-      finish ~cache_hit:false (Ok result)
-    | Error input_error ->
-      finish ~cache_hit:false (Error (Invalid_input input_error)))
+  with_result_memo t ~started request ~on_hit (fun () ->
+      let config =
+        {
+          Tabseg_stream.Engine.default_config with
+          Tabseg_stream.Engine.method_ = t.cfg.method_;
+        }
+      in
+      let outcome, summary =
+        Tabseg_stream.Runner.stream_input ~config ~on_record:emit
+          request.input
+      in
+      Metrics.set t.stream_live_tokens
+        (Float.max
+           (Metrics.gauge_value t.stream_live_tokens)
+           (float_of_int summary.Tabseg_stream.Frame.live_tokens_hwm));
+      outcome)
 
 let maintenance t = Option.iter Store.refresh t.store
 

@@ -81,7 +81,6 @@ val segment_one : t -> request -> response
 
 val segment_stream :
   t ->
-  ?on_progress:(Tabseg_stream.Frame.progress -> unit) ->
   on_record:(Tabseg.Segmentation.record -> unit) ->
   request ->
   response

@@ -9,18 +9,21 @@
   detail_pages = the detail pages that followed it } v}
 
     and the engine reproduces {!Tabseg.Api.segment_result} on that input
-    {e exactly}: the template is re-induced per unit over the sealed head
-    (induction is order-sensitive, so nothing cheaper is faithful), while
-    the expensive per-detail work — tokenize, index, match against the
-    unit's extracts — happens incrementally as each detail page arrives,
-    after which its tokens are dropped. A unit closes (its segmentation
-    runs and its records are emitted) as soon as its detail run ends: at
-    the next list page, or at [finish]. Units whose pages precede the head
-    seal buffer their raw detail pages until the seal — the only buffering
-    in the engine, bounded by the head window.
+    {e exactly}, because it runs the same front half — it only schedules
+    it. At a unit's start, {!Tabseg.Pipeline.locate_table} re-induces the
+    template over the sealed head (induction is order-sensitive, so
+    nothing cheaper is faithful) and an {!Tabseg_extract.Observation}
+    builder starts over the unit's extracts and the head pages' indices,
+    built once at seal and shared by every unit. Each detail page is
+    tokenized and added to the builder as it arrives, after which its
+    tokens are dropped. A unit closes (the builder finishes,
+    {!Tabseg.Api.solve} runs and the records are emitted) as soon as its
+    detail run ends: at the next list page, or at [finish]. Units whose
+    pages precede the head seal buffer their raw detail pages until the
+    seal — the only buffering in the engine, bounded by the head window.
 
     Memory: live tokens are charged to a {!Budget}; the steady state holds
-    the head pages, one unit's page and observation accumulator, and one
+    the head pages, one unit's page and observation builder, and one
     transient detail page — never the whole site. *)
 
 open Tabseg_token
@@ -50,17 +53,15 @@ let default_config =
     max_live_tokens = None;
   }
 
-(* Post-seal per-unit state: the front half up to (and excluding) the
-   observation table, plus the incrementally accumulated observations. *)
+(* Post-seal per-unit state: the located table and the observation table
+   under construction. *)
 type work = {
   w_page : Token.t array;
   w_page_charge : int;  (** tokens charged for w_page (0 if owned by head) *)
   w_table_slot : Slot.t;
   w_template_size : int;
   w_notes : Segmentation.note list;
-  w_other_indices : Matching.detail_index list;
-  w_extracts : Extract.t array;
-  w_acc : (int * int) list array;  (** per-extract observations, reversed *)
+  w_observation : Observation.builder;
 }
 
 type unit_state = {
@@ -69,7 +70,6 @@ type unit_state = {
   u_head_pos : int;  (** position among list pages; in head if < seal size *)
   mutable u_buffered : string list;  (** pre-seal raw details, reversed *)
   mutable u_buffered_charge : int;
-  mutable u_count : int;  (** detail pages fed through matching *)
   mutable u_nonblank : bool;  (** some detail page had visible content *)
   mutable u_work : work option;
   mutable u_failed : string option;  (** Invalid_argument carried to close *)
@@ -79,7 +79,6 @@ type t = {
   cfg : config;
   on_event : Frame.event -> unit;
   budget : Budget.t;
-  refine : Refine.t;
   mutable head_rev : Token.t array list;  (** pre-seal, reversed *)
   mutable head_charge : int;
   mutable sealed : bool;
@@ -100,7 +99,6 @@ let create ?(config = default_config) ~on_event () =
     cfg = config;
     on_event;
     budget = Budget.create ?cap:config.max_live_tokens ();
-    refine = Refine.create ();
     head_rev = [];
     head_charge = 0;
     sealed = false;
@@ -117,9 +115,8 @@ let create ?(config = default_config) ~on_event () =
 let live_tokens t = Budget.live t.budget
 let live_tokens_hwm t = Budget.high_watermark t.budget
 
-(* The front half of one unit, mirroring Pipeline.prepare/locate_table
-   decision for decision — without the observation table, which is built
-   incrementally as detail pages arrive. *)
+(* The front half of one unit up to the observation table, which is
+   built as detail pages arrive. *)
 let start_work t (u : unit_state) =
   try
     let head_size = List.length t.head_pages in
@@ -134,52 +131,15 @@ let start_work t (u : unit_state) =
         (tokens, Array.length tokens)
       end
     in
-    let others =
-      List.filteri (fun i _ -> i <> u.u_head_pos) t.head_pages
+    let others l = List.filteri (fun i _ -> i <> u.u_head_pos) l in
+    let table_slot, notes, template_size =
+      Pipeline.locate_table ~config:t.cfg.pipeline
+        (page :: others t.head_pages)
     in
-    let other_indices =
-      List.filteri (fun i _ -> i <> u.u_head_pos) t.head_indices
+    let observation =
+      Observation.start ~other_list_indices:(others t.head_indices)
+        ~extracts:(Extract.of_slot table_slot) ()
     in
-    let pages = page :: others in
-    let config = t.cfg.pipeline in
-    let located, template_size =
-      if List.length pages < 2 then (None, 0)
-      else begin
-        let template =
-          Instrument.time ~stage:"pipeline.template" (fun () ->
-              Template.induce pages)
-        in
-        let template_size = Template.size template in
-        if template_size < config.Pipeline.min_template_tokens then
-          (None, template_size)
-        else begin
-          let slots = Template.slots template page in
-          let total_words =
-            List.fold_left (fun acc slot -> acc + Slot.word_count slot) 0 slots
-          in
-          match Slot.table_slot slots with
-          | None -> (None, template_size)
-          | Some slot ->
-            let cover =
-              if total_words = 0 then 0.
-              else
-                float_of_int (Slot.word_count slot)
-                /. float_of_int total_words
-            in
-            if cover < config.Pipeline.min_slot_cover then
-              (None, template_size)
-            else (Some slot, template_size)
-        end
-      end
-    in
-    let table_slot, notes =
-      match located with
-      | Some slot -> (slot, [])
-      | None ->
-        ( Slot.whole_page page,
-          [ Segmentation.Template_problem; Segmentation.Entire_page_used ] )
-    in
-    let extracts = Array.of_list (Extract.of_slot table_slot) in
     u.u_work <-
       Some
         {
@@ -188,17 +148,13 @@ let start_work t (u : unit_state) =
           w_table_slot = table_slot;
           w_template_size = template_size;
           w_notes = notes;
-          w_other_indices = other_indices;
-          w_extracts = extracts;
-          w_acc = Array.make (Array.length extracts) [];
+          w_observation = observation;
         }
   with Invalid_argument message -> u.u_failed <- Some message
 
-(* One detail page through the unit's matcher; its tokens live only for
-   the duration of this call. *)
+(* One detail page into the unit's observation table; its tokens live
+   only for the duration of this call. *)
 let process_detail t (u : unit_state) html =
-  let page_index = u.u_count in
-  u.u_count <- u.u_count + 1;
   if String.trim html <> "" then u.u_nonblank <- true;
   match (u.u_work, u.u_failed) with
   | Some w, None -> begin
@@ -208,59 +164,19 @@ let process_detail t (u : unit_state) html =
             Tokenizer.tokenize html)
       in
       Budget.charge t.budget (Array.length tokens);
-      let index = Matching.index_detail tokens in
-      Array.iteri
-        (fun i (extract : Extract.t) ->
-          let occurrences =
-            Matching.occurrences index extract.Extract.words
-          in
-          w.w_acc.(i) <-
-            List.rev_append
-              (List.map (fun pos -> (page_index, pos)) occurrences)
-              w.w_acc.(i))
-        w.w_extracts;
+      Observation.add_detail w.w_observation tokens;
       Budget.release t.budget (Array.length tokens)
     with Invalid_argument message -> u.u_failed <- Some message
   end
   | _ -> ()
 
-(* Reproduces Observation.build from the accumulated per-detail matches:
-   same entry order, same position order, same uninformative filter. *)
-let finalize_observation (u : unit_state) (w : work) =
-  let num_details = u.u_count in
-  let entries = ref [] and extras = ref [] in
-  Array.iteri
-    (fun i (extract : Extract.t) ->
-      let positions = List.rev w.w_acc.(i) in
-      let pages = List.sort_uniq compare (List.map fst positions) in
-      let on_all_other_lists =
-        w.w_other_indices <> []
-        && List.for_all
-             (fun index -> Matching.contains index extract.Extract.words)
-             w.w_other_indices
-      in
-      let uninformative =
-        pages = []
-        || List.length pages = num_details
-        || on_all_other_lists
-      in
-      if uninformative then extras := extract :: !extras
-      else entries := { Observation.extract; pages; positions } :: !entries)
-    w.w_extracts;
-  {
-    Observation.entries = Array.of_list (List.rev !entries);
-    extras = List.rev !extras;
-    num_details;
-  }
-
-(* Close a unit: validate exactly as Api.segment_result does, run the
-   method's segmenter on the assembled prepared value, emit the records
-   then the outcome. *)
+(* Close a unit: validate exactly as Api.segment_result does, finish
+   the observation table and solve, emit the records then the outcome. *)
 let close_unit t (u : unit_state) =
   let blank html = String.trim html = "" in
   let outcome =
     if blank u.u_html then Error Api.Blank_list_page
-    else if u.u_count = 0 || not u.u_nonblank then Error Api.All_details_lost
+    else if not u.u_nonblank then Error Api.All_details_lost
     else begin
       match (u.u_failed, u.u_work) with
       | Some message, _ -> Error (Api.Pipeline_failure message)
@@ -269,29 +185,18 @@ let close_unit t (u : unit_state) =
         try
           let observation =
             Instrument.time ~stage:"pipeline.extract" (fun () ->
-                finalize_observation u w)
+                Observation.finish w.w_observation)
           in
-          let prepared =
-            {
-              Pipeline.page = w.w_page;
-              table_slot = w.w_table_slot;
-              observation;
-              notes = w.w_notes;
-              template_size = w.w_template_size;
-            }
-          in
-          match t.cfg.method_ with
-          | Api.Csp ->
-            let segmentation =
-              Tabseg.Csp_segmenter.segment ?config:t.cfg.csp_config prepared
-            in
-            Ok { Api.segmentation; prepared; diagnostics = None }
-          | Api.Probabilistic ->
-            let segmentation, diagnostics =
-              Tabseg.Prob_segmenter.segment ?config:t.cfg.prob_config
-                prepared
-            in
-            Ok { Api.segmentation; prepared; diagnostics = Some diagnostics }
+          Ok
+            (Api.solve ?csp_config:t.cfg.csp_config
+               ?prob_config:t.cfg.prob_config ~method_:t.cfg.method_
+               {
+                 Pipeline.page = w.w_page;
+                 table_slot = w.w_table_slot;
+                 observation;
+                 notes = w.w_notes;
+                 template_size = w.w_template_size;
+               })
         with Invalid_argument message -> Error (Api.Pipeline_failure message)
       end
     end
@@ -355,7 +260,6 @@ let new_unit t ~pos ~html =
       u_head_pos = pos;
       u_buffered = [];
       u_buffered_charge = 0;
-      u_count = 0;
       u_nonblank = false;
       u_work = None;
       u_failed = None;
@@ -377,9 +281,6 @@ let feed_list_page t ?(segment = false) html =
     Budget.charge t.budget (Array.length tokens);
     t.head_charge <- t.head_charge + Array.length tokens;
     t.head_rev <- tokens :: t.head_rev;
-    (match Refine.observe t.refine tokens with
-    | Some progress -> t.on_event (Frame.Template_refined progress)
-    | None -> ());
     if segment then t.current <- Some (new_unit t ~pos ~html);
     if t.list_seen = t.cfg.head_window then seal t
   end

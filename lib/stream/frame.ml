@@ -9,6 +9,7 @@
     per-unit outcome — the same value the batch path computes — so folding
     the event stream reproduces batch results byte for byte. *)
 
+(* The payload of the reserved [Template_refined] event. *)
 type progress = {
   pages_seen : int;  (** head list pages observed so far *)
   template_size : int;  (** estimated template size (monotone, narrowing) *)
@@ -20,7 +21,8 @@ type progress = {
 
 type event =
   | Template_refined of progress
-      (** the incremental template estimate narrowed (head pages only) *)
+      (** reserved: nothing emits it. Units re-induce the template over
+          the sealed head, so no consumer needs a live estimate. *)
   | Record of { unit_index : int; record : Tabseg.Segmentation.record }
       (** a record whose detail evidence is complete, in stream order *)
   | Unit_done of {

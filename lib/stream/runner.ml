@@ -98,7 +98,7 @@ let outcome_digest (outcome : (Api.result, Api.input_error) result) =
 
 (* Stream a single batch input (the Service seam): one unit, records
    through [on_record], terminal outcome identical to Api.segment_result. *)
-let stream_input ?(config = Engine.default_config) ?on_progress ~on_record
+let stream_input ?(config = Engine.default_config) ~on_record
     (input : Pipeline.input) =
   let head_window = max 1 (List.length input.Pipeline.list_pages) in
   let config = { config with Engine.head_window } in
@@ -106,8 +106,7 @@ let stream_input ?(config = Engine.default_config) ?on_progress ~on_record
   let on_event = function
     | Frame.Record { record; _ } -> on_record record
     | Frame.Unit_done { outcome = terminal; _ } -> outcome := Some terminal
-    | Frame.Template_refined progress ->
-      Option.iter (fun f -> f progress) on_progress
+    | Frame.Template_refined _ -> ()
   in
   let summary = run ~config ~on_event (Source.of_input input) in
   let outcome =

@@ -177,6 +177,57 @@ let test_multi_unit_identical () =
         [ Api.Csp; Api.Probabilistic ])
     specs
 
+(* Stream = batch under CSP for one drawn shape: a [pages]-page site
+   whose list page [i] opens a unit only when [flags.(i)], so
+   template-only list pages and their orphaned details occur. *)
+let fold_matches_reference ~seed ~head_window ~flags =
+  let pages = Array.length flags in
+  let spec =
+    {
+      (List.hd (corpus_specs ~sites:1 ~seed ~max_rows:200)) with
+      Family.sp_rows = 4 * pages;
+      sp_rows_per_page = 4;
+    }
+  in
+  let stream =
+    List.concat
+      (List.mapi
+         (fun i (page : Family.page) ->
+           Source.List_page { html = page.Family.list_html; segment = flags.(i) }
+           :: List.map
+                (fun html -> Source.Detail_page html)
+                page.Family.detail_htmls)
+         (Family.generate ~max_pages:pages spec).Family.pages)
+  in
+  let config =
+    { (stream_config ~method_:Api.Csp) with Engine.head_window }
+  in
+  let digests = List.map Runner.outcome_digest in
+  digests (Runner.fold ~config (Source.of_pages stream)).Runner.outcomes
+  = digests (Runner.batch_reference ~config stream)
+
+(* Random head windows (1..6) over 1..5 list pages with random unit
+   flags: windows above the page count seal only at [finish], and a
+   window of 1 leaves the head page's unit fewer than two pages to
+   induce from. *)
+let prop_fold_matches_reference =
+  QCheck.Test.make ~name:"fold = batch_reference (CSP, drawn windows and flags)"
+    ~count:30
+    QCheck.(
+      triple (int_bound 1_000) (int_range 1 6)
+        (array_of_size (Gen.int_range 1 5) bool))
+    (fun (seed, head_window, flags) ->
+      fold_matches_reference ~seed ~head_window ~flags)
+
+(* The two schedules the draw might miss, pinned. *)
+let test_edge_windows () =
+  check_bool "head window above the list-page count" true
+    (fold_matches_reference ~seed:5 ~head_window:6
+       ~flags:[| true; false; true |]);
+  check_bool "head window of one" true
+    (fold_matches_reference ~seed:6 ~head_window:1
+       ~flags:[| true; true; false; true |])
+
 (* ------------------------- incrementality ---------------------------- *)
 
 (* The first record must be emitted before the source is exhausted: the
@@ -216,26 +267,6 @@ let test_first_record_before_source_exhausted () =
       (Printf.sprintf "first record after %d of %d pages" pulled total)
       true
       (pulled < total / 2)
-
-(* Template refinement narrows monotonically as head pages arrive. *)
-let test_refine_monotone () =
-  let spec = List.hd (corpus_specs ~sites:1 ~seed:31 ~max_rows:2_000) in
-  let pages = site_pages spec ~units:6 in
-  let sizes = ref [] in
-  let config = { Engine.default_config with Engine.head_window = 6 } in
-  let on_event = function
-    | Frame.Template_refined progress ->
-      sizes := progress.Frame.template_size :: !sizes
-    | _ -> ()
-  in
-  let _ = Runner.run ~config ~on_event (Source.of_pages pages) in
-  let sizes = List.rev !sizes in
-  check_bool "refinement events seen" true (List.length sizes >= 2);
-  let rec monotone = function
-    | a :: (b :: _ as rest) -> a >= b && monotone rest
-    | [ _ ] | [] -> true
-  in
-  check_bool "estimate narrows monotonically" true (monotone sizes)
 
 (* ------------------------- bounded memory ---------------------------- *)
 
@@ -380,13 +411,15 @@ let () =
             test_validation_parity;
           Alcotest.test_case "lazy page source identical" `Quick
             test_page_source_identical;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 2004 |])
+            prop_fold_matches_reference;
+          Alcotest.test_case "edge head windows" `Quick test_edge_windows;
         ] );
       ( "incremental",
         [
           Alcotest.test_case "first record before source exhausted" `Slow
             test_first_record_before_source_exhausted;
-          Alcotest.test_case "template estimate narrows" `Slow
-            test_refine_monotone;
         ] );
       ( "memory",
         [
