@@ -39,4 +39,4 @@ let time ~stage f =
 
 let stages =
   [ "crawl"; "pipeline.tokenize"; "pipeline.template"; "pipeline.extract";
-    "segment.csp"; "segment.hmm" ]
+    "segment.csp"; "segment.hmm"; "segment.hmm.em"; "segment.hmm.decode" ]

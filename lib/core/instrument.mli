@@ -2,7 +2,8 @@
 
     The pipeline and both segmentation engines report how long each stage
     took (tokenize, template induction, observation building, CSP solve,
-    HMM solve; the navigator adds the crawl) through this bus. With no
+    HMM solve split into its EM sweeps and its decode; the navigator adds
+    the crawl) through this bus. With no
     subscriber the overhead is one atomic load per stage — the engines
     stay dependency-free and a serving layer ({!Tabseg_serve.Metrics})
     can turn the events into latency histograms.

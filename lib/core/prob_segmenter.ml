@@ -72,7 +72,139 @@ let make_data config observation =
   { n; num_records; candidates; type_masks; k }
 
 (* ------------------------------------------------------------------ *)
-(* Base variant: states encode (record, column label).                 *)
+(* The lattice: built once per site, reweighted each EM iteration.     *)
+(* ------------------------------------------------------------------ *)
+
+(* The admissible states and their predecessors depend only on the
+   detail sets D_i and the bound k, which EM does not change, so both
+   variants build their sparse lattice once per site. Each state's
+   decoded fields sit in flat arrays indexed like the lattice's global
+   states. *)
+type lattice = {
+  fhmm : Fhmm.t;
+  record : int array;  (* per state: record number r *)
+  column : int array;
+      (* per state: column label c (Base) or position m within the record
+         (Period) *)
+  span : int array;  (* per state: record length ℓ (Period; 0 for Base) *)
+  cell : int array;  (* per state: index of its emission distribution *)
+  masks : int array;  (* the distinct type masks T_i of the site *)
+  mask_slot : int array;  (* per position: index of T_i in [masks] *)
+  emission_table : float array;
+      (* per (mask slot, cell): log emission, refilled each iteration *)
+}
+
+(* Position [i] holds one block of states per candidate record in D_i,
+   in D_i order; [block i] states each, whose local index [j] decodes to
+   [(column, span)]. *)
+let build data ~cells ~block ~decode ~cell_of ~preds =
+  let sizes =
+    Array.init data.n (fun i -> Array.length data.candidates.(i) * block i)
+  in
+  let fhmm = Fhmm.create ~sizes ~preds in
+  let total = Fhmm.states fhmm in
+  let record = Array.make total 0 and column = Array.make total 0 in
+  let span = Array.make total 0 and cell = Array.make total 0 in
+  for i = 0 to data.n - 1 do
+    let size = block i in
+    for s = 0 to sizes.(i) - 1 do
+      let g = fhmm.Fhmm.first.(i) + s in
+      let c, l = decode i (s mod size) in
+      record.(g) <- data.candidates.(i).(s / size);
+      column.(g) <- c;
+      span.(g) <- l;
+      cell.(g) <- cell_of c l
+    done
+  done;
+  let slots = Hashtbl.create 16 in
+  let mask_slot =
+    Array.map
+      (fun mask ->
+        match Hashtbl.find_opt slots mask with
+        | Some slot -> slot
+        | None ->
+          let slot = Hashtbl.length slots in
+          Hashtbl.add slots mask slot;
+          slot)
+      data.type_masks
+  in
+  let masks = Array.make (Hashtbl.length slots) 0 in
+  Hashtbl.iter (fun mask slot -> masks.(slot) <- mask) slots;
+  {
+    fhmm; record; column; span; cell; masks; mask_slot;
+    emission_table = Array.make (Array.length masks * cells) Logspace.zero;
+  }
+
+(* Every state's log emission, computed once per (distinct mask, cell). *)
+let fill_emissions lattice emission =
+  let cells = Array.length emission in
+  Array.iteri
+    (fun slot mask ->
+      for cell = 0 to cells - 1 do
+        lattice.emission_table.((slot * cells) + cell) <-
+          Dist.bernoulli_log_prob emission.(cell) mask
+      done)
+    lattice.masks;
+  let fhmm = lattice.fhmm in
+  for i = 0 to fhmm.Fhmm.length - 1 do
+    let row = lattice.mask_slot.(i) * cells in
+    for g = fhmm.Fhmm.first.(i) to fhmm.Fhmm.first.(i + 1) - 1 do
+      fhmm.Fhmm.emit.(g) <- lattice.emission_table.(row + lattice.cell.(g))
+    done
+  done
+
+(* [f e p g] for every edge [e], from state [p] into state [g]. *)
+let iter_edges lattice f =
+  let fhmm = lattice.fhmm in
+  for g = fhmm.Fhmm.first.(min 1 fhmm.Fhmm.length) to Fhmm.states fhmm - 1 do
+    for e = fhmm.Fhmm.pred_first.(g) to fhmm.Fhmm.pred_first.(g + 1) - 1 do
+      f e fhmm.Fhmm.pred.(e) g
+    done
+  done
+
+(* The log weight of a record start at record [r] after a record that
+   ended at record [r']: a forward jump pays the gap penalty for every
+   skipped record number, anything else the restart penalty. *)
+let[@inline] start_weight config start r r' =
+  if r > r' then start +. (config.gap_penalty *. float_of_int (r - r' - 1))
+  else config.restart_penalty +. start
+
+(* Expected emission counts per cell — total mass and per-bit on-mass,
+   accumulated in position then state order — turned into smoothed
+   Bernoulli estimates. *)
+let estimate_emissions config data lattice gamma cells =
+  let emission_on = Array.make_matrix cells 8 0. in
+  let emission_total = Array.make cells 0. in
+  let fhmm = lattice.fhmm in
+  for i = 0 to data.n - 1 do
+    let mask = data.type_masks.(i) in
+    for g = fhmm.Fhmm.first.(i) to fhmm.Fhmm.first.(i + 1) - 1 do
+      let p = gamma.(g) and cell = lattice.cell.(g) in
+      emission_total.(cell) <- emission_total.(cell) +. p;
+      for bit = 0 to 7 do
+        if mask land (1 lsl bit) <> 0 then
+          emission_on.(cell).(bit) <- emission_on.(cell).(bit) +. p
+      done
+    done
+  done;
+  Array.init cells (fun cell ->
+      Dist.bernoulli_estimate ~alpha:config.smoothing
+        ~on_counts:emission_on.(cell) ~total:emission_total.(cell) ())
+
+(* [f e p g] for every edge [e] from [p] into a state [g] of position
+   [i ≥ 1] whose posterior mass exceeds 1e-12: targets descending, and
+   sources descending within a target. The M-step's sums are taken in
+   this order. *)
+let iter_transitions lattice xi i f =
+  let fhmm = lattice.fhmm in
+  for g = fhmm.Fhmm.first.(i + 1) - 1 downto fhmm.Fhmm.first.(i) do
+    for e = fhmm.Fhmm.pred_first.(g + 1) - 1 downto fhmm.Fhmm.pred_first.(g) do
+      if xi.(e) > 1e-12 then f e fhmm.Fhmm.pred.(e) g
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Base variant: states are (record, column label).                    *)
 (* ------------------------------------------------------------------ *)
 
 module Base_model = struct
@@ -80,9 +212,6 @@ module Base_model = struct
     trans : Dist.categorical array;  (* row c' -> distribution over c *)
     emission : Dist.bernoulli_vector array;  (* per column *)
   }
-
-  let encode data r c = (r * data.k) + c
-  let decode data state = (state / data.k, state mod data.k)
 
   (* Row c' may go to column 0 (record start) or any c > c' (within
      record). *)
@@ -107,70 +236,62 @@ module Base_model = struct
     in
     { trans; emission }
 
-  let lattice config data model =
-    let states_at i =
-      let rs = data.candidates.(i) in
-      if i = 0 then Array.map (fun r -> encode data r 0) rs
-      else
-        Array.concat
-          (Array.to_list
-             (Array.map
-                (fun r -> Array.init data.k (fun c -> encode data r c))
-                rs))
-    in
-    let init state =
-      let r, _ = decode data state in
-      config.gap_penalty *. float_of_int r
-    in
-    let trans _i prev cur =
-      let r', c' = decode data prev in
-      let r, c = decode data cur in
-      if r = r' && c > c' then Dist.log_prob model.trans.(c') c
-      else if c = 0 then
-        if r > r' then
-          Dist.log_prob model.trans.(c') 0
-          +. (config.gap_penalty *. float_of_int (r - r' - 1))
-        else config.restart_penalty +. Dist.log_prob model.trans.(c') 0
-      else Logspace.zero
-    in
-    let emit i state =
-      let _, c = decode data state in
-      Dist.bernoulli_log_prob model.emission.(c) data.type_masks.(i)
-    in
-    { Fhmm.length = data.n; states = states_at; init; trans; emit }
+  (* Position 0 holds one state per record, column 0; every other
+     position holds columns 0..k-1 per record. A column c > 0 continues
+     its own record from any smaller column; column 0 starts a record
+     after any state. *)
+  let lattice data =
+    let k = data.k in
+    let block i = if i = 0 then 1 else k in
+    build data ~cells:k ~block
+      ~decode:(fun _ j -> (j, 0))
+      ~cell_of:(fun c _ -> c)
+      ~preds:(fun i s add ->
+        let previous = data.candidates.(i - 1) in
+        let c = s mod k in
+        if c = 0 then
+          for p = 0 to (Array.length previous * block (i - 1)) - 1 do
+            add p
+          done
+        else
+          let r = data.candidates.(i).(s / k) in
+          Array.iteri
+            (fun b r' ->
+              if r' = r then
+                if i = 1 then add b
+                else
+                  for c' = 0 to c - 1 do
+                    add ((b * k) + c')
+                  done)
+            previous)
 
-  let m_step config data (posteriors : Fhmm.posteriors) lattice_states =
+  let reweight config lattice model =
+    let { Fhmm.init; weight; _ } = lattice.fhmm in
+    for g = 0 to Array.length init - 1 do
+      init.(g) <- config.gap_penalty *. float_of_int lattice.record.(g)
+    done;
+    fill_emissions lattice model.emission;
+    iter_edges lattice (fun e p g ->
+        let c' = lattice.column.(p) and c = lattice.column.(g) in
+        weight.(e) <-
+          (if c > 0 then Dist.log_prob model.trans.(c') c
+           else
+             start_weight config
+               (Dist.log_prob model.trans.(c') 0)
+               lattice.record.(g) lattice.record.(p)))
+
+  let m_step config data lattice workspace =
     let k = data.k in
     let trans_counts = Array.make_matrix k k 0. in
-    let emission_on = Array.make_matrix k 8 0. in
-    let emission_total = Array.make k 0. in
-    Array.iteri
-      (fun i gamma_row ->
-        let states = lattice_states i in
-        Array.iteri
-          (fun s p ->
-            let _, c = decode data states.(s) in
-            emission_total.(c) <- emission_total.(c) +. p;
-            for bit = 0 to 7 do
-              if data.type_masks.(i) land (1 lsl bit) <> 0 then
-                emission_on.(c).(bit) <- emission_on.(c).(bit) +. p
-            done)
-          gamma_row)
-      posteriors.Fhmm.gamma;
-    Array.iteri
-      (fun i cells ->
-        if i >= 1 then
-          let prev_states = lattice_states (i - 1) in
-          let cur_states = lattice_states i in
-          List.iter
-            (fun (p_idx, s_idx, p) ->
-              let _, c' = decode data prev_states.(p_idx) in
-              let r_prev, _ = decode data prev_states.(p_idx) in
-              let r_cur, c = decode data cur_states.(s_idx) in
-              let target = if r_cur = r_prev && c > c' then c else 0 in
-              trans_counts.(c').(target) <- trans_counts.(c').(target) +. p)
-            cells)
-      posteriors.Fhmm.xi;
+    let xi = Fhmm.xi workspace in
+    for i = 1 to data.n - 1 do
+      iter_transitions lattice xi i (fun e p g ->
+          let c' = lattice.column.(p) and c = lattice.column.(g) in
+          let target =
+            if lattice.record.(g) = lattice.record.(p) && c > c' then c else 0
+          in
+          trans_counts.(c').(target) <- trans_counts.(c').(target) +. xi.(e))
+    done;
     let trans =
       Array.init k (fun c' ->
           let weights = Array.make k 0. in
@@ -179,19 +300,15 @@ module Base_model = struct
             (allowed_targets k c');
           Dist.of_weights weights)
     in
-    let emission =
-      Array.init k (fun c ->
-          Dist.bernoulli_estimate ~alpha:config.smoothing
-            ~on_counts:emission_on.(c) ~total:emission_total.(c) ())
-    in
-    { trans; emission }
-
-  let decode_path data path =
-    Array.map (fun state -> decode data state) path
+    {
+      trans;
+      emission =
+        estimate_emissions config data lattice (Fhmm.gamma workspace) k;
+    }
 end
 
 (* ------------------------------------------------------------------ *)
-(* Period variant: states encode (record, position m, record length ℓ). *)
+(* Period variant: states are (record, position m, record length ℓ).   *)
 (* ------------------------------------------------------------------ *)
 
 module Period_model = struct
@@ -199,13 +316,6 @@ module Period_model = struct
     period : Dist.categorical;  (* over ℓ-1 in 0..k-1 *)
     emission : Dist.bernoulli_vector array;  (* indexed (ℓ-1)*k + m *)
   }
-
-  let encode data r m l = (((r * data.k) + m) * (data.k + 1)) + l
-
-  let decode data state =
-    let l = state mod (data.k + 1) in
-    let rest = state / (data.k + 1) in
-    (rest / data.k, rest mod data.k, l)
 
   let emission_index data m l = (((l - 1) * data.k) + m)
 
@@ -217,98 +327,85 @@ module Period_model = struct
             Dist.bernoulli_uniform ~bits:8 ~p:0.125);
     }
 
-  let lattice config data model =
+  (* Position 0 holds each record's starts (m = 0) for ℓ = 1..k; every
+     other position holds all k(k+1)/2 pairs m < ℓ per record, ℓ
+     descending and m descending within ℓ. Within a record the position
+     advances deterministically, so m > 0 has the one predecessor
+     (m - 1, ℓ) of the same record; a start (m = 0) follows any record
+     end (m' = ℓ' - 1). *)
+  let lattice data =
     let k = data.k in
-    let states_at i =
-      let rs = data.candidates.(i) in
-      let per_record r =
-        if i = 0 then Array.init k (fun l -> encode data r 0 (l + 1))
-        else begin
-          let states = ref [] in
-          for l = 1 to k do
-            for m = 0 to l - 1 do
-              states := encode data r m l :: !states
-            done
-          done;
-          Array.of_list !states
-        end
-      in
-      Array.concat (Array.to_list (Array.map per_record rs))
-    in
-    let init state =
-      let r, _, l = decode data state in
-      (config.gap_penalty *. float_of_int r)
-      +. Dist.log_prob model.period (l - 1)
-    in
-    let trans _i prev cur =
-      let r', m', l' = decode data prev in
-      let r, m, l = decode data cur in
-      if r = r' && l = l' && m = m' + 1 && m < l then Logspace.one
-      else if m = 0 && m' = l' - 1 then
-        (* The previous record is complete; a new one starts. *)
-        let start = Dist.log_prob model.period (l - 1) in
-        if r > r' then
-          start +. (config.gap_penalty *. float_of_int (r - r' - 1))
-        else config.restart_penalty +. start
-      else Logspace.zero
-    in
-    let emit i state =
-      let _, m, l = decode data state in
-      Dist.bernoulli_log_prob
-        model.emission.(emission_index data m l)
-        data.type_masks.(i)
-    in
-    { Fhmm.length = data.n; states = states_at; init; trans; emit }
+    let pairs = k * (k + 1) / 2 in
+    let index l m = pairs - 1 - ((l * (l - 1) / 2) + m) in
+    let block i = if i = 0 then k else pairs in
+    let order = Array.make pairs (0, 0) in
+    for l = 1 to k do
+      for m = 0 to l - 1 do
+        order.(index l m) <- (m, l)
+      done
+    done;
+    build data ~cells:(k * k) ~block
+      ~decode:(fun i j -> if i = 0 then (0, j + 1) else order.(j))
+      ~cell_of:(fun m l -> emission_index data m l)
+      ~preds:(fun i s add ->
+        let previous = data.candidates.(i - 1) in
+        let m, l = order.(s mod pairs) in
+        if m = 0 then
+          Array.iteri
+            (fun b _ ->
+              if i = 1 then add (b * k)
+              else
+                for l' = k downto 1 do
+                  add ((b * pairs) + index l' (l' - 1))
+                done)
+            previous
+        else
+          let r = data.candidates.(i).(s / pairs) in
+          Array.iteri
+            (fun b r' ->
+              if r' = r then
+                if i > 1 then add ((b * pairs) + index l (m - 1))
+                else if m = 1 then add ((b * k) + l - 1))
+            previous)
 
-  let m_step config data (posteriors : Fhmm.posteriors) lattice_states =
+  let reweight config lattice model =
+    let { Fhmm.init; weight; _ } = lattice.fhmm in
+    for g = 0 to Array.length init - 1 do
+      init.(g) <-
+        (config.gap_penalty *. float_of_int lattice.record.(g))
+        +. Dist.log_prob model.period (lattice.span.(g) - 1)
+    done;
+    fill_emissions lattice model.emission;
+    iter_edges lattice (fun e p g ->
+        weight.(e) <-
+          (if lattice.column.(g) > 0 then Logspace.one
+           else
+             start_weight config
+               (Dist.log_prob model.period (lattice.span.(g) - 1))
+               lattice.record.(g) lattice.record.(p)))
+
+  let m_step config data lattice workspace =
     let k = data.k in
     let period_counts = Array.make k 0. in
-    let cells = k * k in
-    let emission_on = Array.make_matrix cells 8 0. in
-    let emission_total = Array.make cells 0. in
-    Array.iteri
-      (fun i gamma_row ->
-        let states = lattice_states i in
-        Array.iteri
-          (fun s p ->
-            let _, m, l = decode data states.(s) in
-            let cell = emission_index data m l in
-            emission_total.(cell) <- emission_total.(cell) +. p;
-            for bit = 0 to 7 do
-              if data.type_masks.(i) land (1 lsl bit) <> 0 then
-                emission_on.(cell).(bit) <- emission_on.(cell).(bit) +. p
-            done;
-            (* Record starts contribute to the period distribution. *)
-            if i = 0 && m = 0 then
-              period_counts.(l - 1) <- period_counts.(l - 1) +. p)
-          gamma_row)
-      posteriors.Fhmm.gamma;
-    Array.iteri
-      (fun i cell_list ->
-        if i >= 1 then
-          let cur_states = lattice_states i in
-          List.iter
-            (fun (_p_idx, s_idx, p) ->
-              let _, m, l = decode data cur_states.(s_idx) in
-              if m = 0 then
-                period_counts.(l - 1) <- period_counts.(l - 1) +. p)
-            cell_list)
-      posteriors.Fhmm.xi;
+    let gamma = Fhmm.gamma workspace and xi = Fhmm.xi workspace in
+    (* Record starts contribute to the period distribution: every state
+       of position 0, then every transition into an m = 0 state. *)
+    for g = 0 to lattice.fhmm.Fhmm.first.(1) - 1 do
+      let l = lattice.span.(g) in
+      period_counts.(l - 1) <- period_counts.(l - 1) +. gamma.(g)
+    done;
+    for i = 1 to data.n - 1 do
+      iter_transitions lattice xi i (fun e _ g ->
+          if lattice.column.(g) = 0 then begin
+            let l = lattice.span.(g) in
+            period_counts.(l - 1) <- period_counts.(l - 1) +. xi.(e)
+          end)
+    done;
     {
       period =
         Dist.estimate ~alpha:config.smoothing ~counts:period_counts ();
-      emission =
-        Array.init cells (fun cell ->
-            Dist.bernoulli_estimate ~alpha:config.smoothing
-              ~on_counts:emission_on.(cell) ~total:emission_total.(cell) ());
+      emission = estimate_emissions config data lattice gamma (k * k);
     }
-
-  let decode_path data path =
-    Array.map
-      (fun state ->
-        let r, m, _ = decode data state in
-        (r, m))
-      path
 end
 
 (* ------------------------------------------------------------------ *)
@@ -326,60 +423,73 @@ type summary = {
 let profile_of_bernoulli bv =
   Array.init 8 (fun bit -> Dist.bernoulli_prob_on bv bit)
 
+(* [Some (path, iterations, log_likelihood, summary)], the path as
+   (record, column) per extract, or [None] when no path is feasible. *)
 let run_em config data =
-  let run lattice_of m_step initial decode_path summarize =
+  let run lattice reweight m_step initial summarize =
+    let fhmm = lattice.fhmm in
+    let workspace = Fhmm.workspace fhmm in
     let model = ref initial in
     let iterations = ref 0 in
     let log_likelihood = ref Logspace.zero in
-    (try
-       let previous = ref neg_infinity in
-       for _ = 1 to config.em_iterations do
-         let lattice = lattice_of !model in
-         match Fhmm.forward_backward lattice with
-         | None -> raise Exit
-         | Some posteriors ->
-           incr iterations;
-           log_likelihood := posteriors.Fhmm.log_likelihood;
-           model := m_step posteriors lattice.Fhmm.states;
-           if
-             !log_likelihood -. !previous < config.tolerance
-             && !previous > neg_infinity
-           then raise Exit;
-           previous := !log_likelihood
-       done
-     with Exit -> ());
-    let lattice = lattice_of !model in
+    Instrument.time ~stage:"segment.hmm.em" (fun () ->
+        try
+          let previous = ref neg_infinity in
+          for _ = 1 to config.em_iterations do
+            reweight !model;
+            if not (Fhmm.forward_backward fhmm workspace) then raise Exit;
+            incr iterations;
+            log_likelihood := Fhmm.log_likelihood workspace;
+            model := m_step workspace;
+            if
+              !log_likelihood -. !previous < config.tolerance
+              && !previous > neg_infinity
+            then raise Exit;
+            previous := !log_likelihood
+          done
+        with Exit -> ());
     let path =
-      match config.decoder with
-      | Map_decoding -> Fhmm.viterbi lattice
-      | Posterior_decoding -> (
-        (* Per-position argmax of the state posteriors: maximizes expected
-           per-extract accuracy at the cost of global path consistency. *)
-        match Fhmm.forward_backward lattice with
-        | None -> None
-        | Some posteriors ->
-          Some
-            (Array.init data.n (fun i ->
-                 let states = lattice.Fhmm.states i in
-                 let best = ref 0 in
-                 Array.iteri
-                   (fun s p ->
-                     if p > posteriors.Fhmm.gamma.(i).(!best) then best := s)
-                   posteriors.Fhmm.gamma.(i);
-                 states.(!best))))
+      Instrument.time ~stage:"segment.hmm.decode" (fun () ->
+          reweight !model;
+          match config.decoder with
+          | Map_decoding -> Fhmm.viterbi fhmm
+          | Posterior_decoding ->
+            (* Per-position argmax of the state posteriors: maximizes
+               expected per-extract accuracy at the cost of global path
+               consistency. *)
+            if not (Fhmm.forward_backward fhmm workspace) then None
+            else begin
+              let gamma = Fhmm.gamma workspace in
+              Some
+                (Array.init data.n (fun i ->
+                     let first = fhmm.Fhmm.first.(i) in
+                     let best = ref 0 in
+                     for s = 1 to fhmm.Fhmm.first.(i + 1) - first - 1 do
+                       if gamma.(first + s) > gamma.(first + !best) then
+                         best := s
+                     done;
+                     !best))
+            end)
     in
-    match path with
-    | None -> None
-    | Some path ->
-      Some (decode_path path, !iterations, !log_likelihood, summarize !model)
+    Option.map
+      (fun path ->
+        let decoded =
+          Array.mapi
+            (fun i s ->
+              let g = fhmm.Fhmm.first.(i) + s in
+              (lattice.record.(g), lattice.column.(g)))
+            path
+        in
+        (decoded, !iterations, !log_likelihood, summarize !model))
+      path
   in
   match config.variant with
   | Base ->
-    run
-      (fun model -> Base_model.lattice config data model)
-      (fun posteriors states -> Base_model.m_step config data posteriors states)
+    let lattice = Base_model.lattice data in
+    run lattice
+      (Base_model.reweight config lattice)
+      (Base_model.m_step config data lattice)
       (Base_model.initial data)
-      (Base_model.decode_path data)
       (fun (model : Base_model.t) ->
         {
           period_distribution = None;
@@ -390,12 +500,11 @@ let run_em config data =
                  model.Base_model.emission);
         })
   | Period ->
-    run
-      (fun model -> Period_model.lattice config data model)
-      (fun posteriors states ->
-        Period_model.m_step config data posteriors states)
+    let lattice = Period_model.lattice data in
+    run lattice
+      (Period_model.reweight config lattice)
+      (Period_model.m_step config data lattice)
       (Period_model.initial data)
-      (Period_model.decode_path data)
       (fun (model : Period_model.t) ->
         {
           period_distribution =

@@ -237,6 +237,117 @@ let test_prob_columns_reported () =
       check_bool "columns strictly increasing" true (increasing columns))
     segmentation.Tabseg.Segmentation.records
 
+(* A hardcoded MD5 over the probabilistic output on every page of the
+   twelve built-in sites under the three model/decoder paths (Period +
+   Viterbi, Base + Viterbi, Period + posterior argmax): each record's
+   extracts and columns, the unassigned extracts, the notes, and EM's
+   final log-likelihood (bit-exact, [%h]) and iteration count. Any
+   change to the lattice, the E-step summation order or the M-step
+   moves it. *)
+let test_prob_golden_digest () =
+  let configs =
+    [
+      ("period", Tabseg.Prob_segmenter.default_config);
+      ("base", Tabseg.Prob_segmenter.base_config);
+      ( "posterior",
+        { Tabseg.Prob_segmenter.default_config with
+          Tabseg.Prob_segmenter.decoder =
+            Tabseg.Prob_segmenter.Posterior_decoding } );
+    ]
+  in
+  let buffer = Buffer.create (1 lsl 16) in
+  let ids extracts =
+    String.concat "," (List.map (fun e -> string_of_int e.Extract.id) extracts)
+  in
+  List.iter
+    (fun site ->
+      let generated = Tabseg_sitegen.Sites.generate site in
+      List.iteri
+        (fun page_index _ ->
+          let list_pages, detail_pages =
+            Tabseg_sitegen.Sites.segmentation_input generated ~page_index
+          in
+          let prepared =
+            Tabseg.Pipeline.prepare { Tabseg.Pipeline.list_pages; detail_pages }
+          in
+          List.iter
+            (fun (label, prob_config) ->
+              let result =
+                Tabseg.Api.solve ~prob_config ~method_:Tabseg.Api.Probabilistic
+                  prepared
+              in
+              let segmentation = result.Tabseg.Api.segmentation in
+              Printf.bprintf buffer "%s/%d/%s\n" site.Tabseg_sitegen.Sites.name
+                page_index label;
+              List.iter
+                (fun (record : Tabseg.Segmentation.record) ->
+                  Printf.bprintf buffer "r%d:%s|%s\n" record.number
+                    (ids record.extracts)
+                    (String.concat ","
+                       (List.map
+                          (fun (id, column) -> Printf.sprintf "%d=%d" id column)
+                          record.columns)))
+                segmentation.Tabseg.Segmentation.records;
+              Printf.bprintf buffer "u:%s n:%s\n"
+                (ids segmentation.Tabseg.Segmentation.unassigned)
+                (String.init
+                   (List.length segmentation.Tabseg.Segmentation.notes)
+                   (fun i ->
+                     Tabseg.Segmentation.note_letter
+                       (List.nth segmentation.Tabseg.Segmentation.notes i)));
+              match result.Tabseg.Api.diagnostics with
+              | Some d ->
+                Printf.bprintf buffer "ll=%h it=%d\n"
+                  d.Tabseg.Prob_segmenter.log_likelihood
+                  d.Tabseg.Prob_segmenter.iterations
+              | None -> Buffer.add_string buffer "no diagnostics\n")
+            configs)
+        generated.Tabseg_sitegen.Sites.pages)
+    Tabseg_sitegen.Sites.all;
+  Alcotest.(check string)
+    "probabilistic output on the twelve sites is bit-identical"
+    "c82dab1877468d7500451d93c2fc33e1"
+    (Digest.to_hex (Digest.string (Buffer.contents buffer)))
+
+(* The HMM reports its EM sweeps and its decode as two stages, each once
+   per solved site and inside the enclosing [segment.hmm] stage. *)
+let test_prob_stages () =
+  let events = ref [] in
+  let subscription =
+    Tabseg.Instrument.subscribe (fun event -> events := event :: !events)
+  in
+  let generated =
+    Tabseg_sitegen.Sites.generate (Tabseg_sitegen.Sites.find "ButlerCounty")
+  in
+  let list_pages, detail_pages =
+    Tabseg_sitegen.Sites.segmentation_input generated ~page_index:0
+  in
+  Fun.protect
+    ~finally:(fun () -> Tabseg.Instrument.unsubscribe subscription)
+    (fun () ->
+      ignore
+        (Tabseg.Api.segment ~method_:Tabseg.Api.Probabilistic
+           { Tabseg.Pipeline.list_pages; detail_pages }));
+  let seconds stage =
+    List.filter_map
+      (fun e ->
+        if e.Tabseg.Instrument.stage = stage then
+          Some e.Tabseg.Instrument.seconds
+        else None)
+      !events
+  in
+  List.iter
+    (fun stage ->
+      check_bool (stage ^ " is listed") true
+        (List.mem stage Tabseg.Instrument.stages);
+      check_int (stage ^ " fires once") 1 (List.length (seconds stage)))
+    [ "segment.hmm"; "segment.hmm.em"; "segment.hmm.decode" ];
+  match seconds "segment.hmm", seconds "segment.hmm.em",
+        seconds "segment.hmm.decode" with
+  | [ hmm ], [ em ], [ decode ] ->
+    check_bool "em and decode nest in segment.hmm" true (em +. decode <= hmm)
+  | _ -> Alcotest.fail "expected one event per stage"
+
 (* ------------------------- Segmentation -------------------------- *)
 
 let dummy_extract id start text =
@@ -391,6 +502,9 @@ let () =
             test_prob_single_detail_page;
           Alcotest.test_case "columns reported" `Quick
             test_prob_columns_reported;
+          Alcotest.test_case "golden digest (twelve sites, three paths)"
+            `Quick test_prob_golden_digest;
+          Alcotest.test_case "EM and decode stages" `Quick test_prob_stages;
         ] );
       ( "segmentation",
         [

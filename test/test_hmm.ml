@@ -96,6 +96,27 @@ let test_bernoulli_estimate () =
 
 (* ------------------------------ Fhmm ------------------------------ *)
 
+(* A lattice with [sizes.(i)] states at position [i], the edges
+   [preds i s] (ascending local indices at [i - 1]) into local state [s],
+   and log weights from [init s], [trans i p s] and [emit i s]. *)
+let make_lattice ~sizes ~preds ~init ~trans ~emit =
+  let t =
+    Fhmm.create ~sizes ~preds:(fun i s add -> List.iter add (preds i s))
+  in
+  for i = 0 to t.Fhmm.length - 1 do
+    for s = 0 to sizes.(i) - 1 do
+      let g = t.Fhmm.first.(i) + s in
+      if i = 0 then t.Fhmm.init.(s) <- init s;
+      t.Fhmm.emit.(g) <- emit i s;
+      for e = t.Fhmm.pred_first.(g) to t.Fhmm.pred_first.(g + 1) - 1 do
+        t.Fhmm.weight.(e) <- trans i (t.Fhmm.pred.(e) - t.Fhmm.first.(i - 1)) s
+      done
+    done
+  done;
+  t
+
+let all_states n = List.init n Fun.id
+
 (* A tiny two-state weather HMM with known Viterbi answer. States:
    0 = rainy, 1 = sunny. *)
 let weather_lattice observations =
@@ -104,13 +125,41 @@ let weather_lattice observations =
   in
   (* Emissions: observation 0 (walk), 1 (shop), 2 (clean). *)
   let emit_table = [| [| 0.1; 0.4; 0.5 |]; [| 0.6; 0.3; 0.1 |] |] in
-  {
-    Fhmm.length = Array.length observations;
-    states = (fun _ -> [| 0; 1 |]);
-    init = (fun s -> log (if s = 0 then 0.6 else 0.4));
-    trans = (fun _ prev cur -> log trans.(prev).(cur));
-    emit = (fun i s -> log emit_table.(s).(observations.(i)));
-  }
+  make_lattice
+    ~sizes:(Array.make (Array.length observations) 2)
+    ~preds:(fun _ _ -> all_states 2)
+    ~init:(fun s -> log (if s = 0 then 0.6 else 0.4))
+    ~trans:(fun _ prev cur -> log trans.(prev).(cur))
+    ~emit:(fun i s -> log emit_table.(s).(observations.(i)))
+
+let posteriors lattice =
+  let workspace = Fhmm.workspace lattice in
+  if Fhmm.forward_backward lattice workspace then Some workspace else None
+
+(* Sums of [gamma] over each position's states and of [xi] over each
+   position's incoming edges. *)
+let position_masses lattice workspace =
+  let gamma = Fhmm.gamma workspace and xi = Fhmm.xi workspace in
+  let first = lattice.Fhmm.first and pred_first = lattice.Fhmm.pred_first in
+  List.init lattice.Fhmm.length (fun i ->
+      let gamma_mass = ref 0. and xi_mass = ref 0. in
+      for g = first.(i) to first.(i + 1) - 1 do
+        gamma_mass := !gamma_mass +. gamma.(g);
+        for e = pred_first.(g) to pred_first.(g + 1) - 1 do
+          xi_mass := !xi_mass +. xi.(e)
+        done
+      done;
+      (!gamma_mass, if i = 0 then 1. else !xi_mass))
+
+(* Every path of local state indices, in lexicographic order. *)
+let all_paths sizes =
+  Array.fold_right
+    (fun size tails ->
+      List.concat_map
+        (fun s -> List.map (fun tail -> s :: tail) tails)
+        (all_states size))
+    sizes [ [] ]
+  |> List.map Array.of_list
 
 let test_viterbi_weather () =
   (* Classic example: observations walk, shop, clean -> sunny, rainy,
@@ -121,95 +170,147 @@ let test_viterbi_weather () =
   | None -> Alcotest.fail "expected a path"
 
 let test_forward_backward_normalized () =
-  match Fhmm.forward_backward (weather_lattice [| 0; 1; 2; 0; 2 |]) with
+  let lattice = weather_lattice [| 0; 1; 2; 0; 2 |] in
+  match posteriors lattice with
   | None -> Alcotest.fail "expected posteriors"
-  | Some posteriors ->
-    Array.iter
-      (fun gamma_row ->
-        let total = Array.fold_left ( +. ) 0. gamma_row in
-        check_bool "gamma sums to 1" true (Float.abs (total -. 1.) < 1e-9))
-      posteriors.Fhmm.gamma;
-    Array.iteri
-      (fun i cells ->
-        if i >= 1 then begin
-          let total = List.fold_left (fun acc (_, _, p) -> acc +. p) 0. cells in
-          check_bool "xi sums to 1" true (Float.abs (total -. 1.) < 1e-9)
-        end)
-      posteriors.Fhmm.xi
+  | Some workspace ->
+    List.iter
+      (fun (gamma_mass, xi_mass) ->
+        check_bool "gamma sums to 1" true (Float.abs (gamma_mass -. 1.) < 1e-9);
+        check_bool "xi sums to 1" true (Float.abs (xi_mass -. 1.) < 1e-9))
+      (position_masses lattice workspace)
 
 let test_forward_backward_likelihood_brute_force () =
-  let observations = [| 0; 2; 1 |] in
-  let lattice = weather_lattice observations in
+  let lattice = weather_lattice [| 0; 2; 1 |] in
   (* Enumerate all 2^3 paths and sum their joint probabilities. *)
-  let total = ref 0. in
-  for a = 0 to 1 do
-    for b = 0 to 1 do
-      for c = 0 to 1 do
-        total :=
-          !total +. exp (Fhmm.path_log_prob lattice [| a; b; c |])
-      done
-    done
-  done;
-  match Fhmm.forward_backward lattice with
-  | Some posteriors ->
+  let total =
+    List.fold_left
+      (fun acc path -> acc +. exp (Fhmm.path_log_prob lattice path))
+      0. (all_paths [| 2; 2; 2 |])
+  in
+  match posteriors lattice with
+  | Some workspace ->
     check_bool "log-likelihood matches brute force" true
-      (Float.abs (posteriors.Fhmm.log_likelihood -. log !total) < 1e-9)
+      (Float.abs (Fhmm.log_likelihood workspace -. log total) < 1e-9)
   | None -> Alcotest.fail "expected posteriors"
 
 let test_viterbi_beats_other_paths () =
-  let observations = [| 0; 1; 2; 2 |] in
-  let lattice = weather_lattice observations in
+  let lattice = weather_lattice [| 0; 1; 2; 2 |] in
   match Fhmm.viterbi lattice with
   | None -> Alcotest.fail "expected a path"
   | Some best ->
     let best_score = Fhmm.path_log_prob lattice best in
-    for mask = 0 to 15 do
-      let path = Array.init 4 (fun i -> (mask lsr i) land 1) in
-      check_bool "viterbi is maximal" true
-        (Fhmm.path_log_prob lattice path <= best_score +. 1e-9)
-    done
+    List.iter
+      (fun path ->
+        check_bool "viterbi is maximal" true
+          (Fhmm.path_log_prob lattice path <= best_score +. 1e-9))
+      (all_paths [| 2; 2; 2; 2 |])
 
 let test_infeasible_lattice () =
-  let lattice =
-    {
-      Fhmm.length = 2;
-      states = (fun _ -> [| 0; 1 |]);
-      init = (fun _ -> Logspace.one);
-      trans = (fun _ _ _ -> Logspace.zero);  (* no transition allowed *)
-      emit = (fun _ _ -> Logspace.one);
-    }
+  let lattice ~preds =
+    make_lattice ~sizes:[| 2; 2 |] ~preds
+      ~init:(fun _ -> Logspace.one)
+      ~trans:(fun _ _ _ -> Logspace.zero)
+      ~emit:(fun _ _ -> Logspace.one)
   in
-  check_bool "viterbi none" true (Fhmm.viterbi lattice = None);
-  check_bool "posteriors none" true (Fhmm.forward_backward lattice = None)
+  (* No edge at all, and every edge of probability zero. *)
+  List.iter
+    (fun lattice ->
+      check_bool "viterbi none" true (Fhmm.viterbi lattice = None);
+      check_bool "posteriors none" true (posteriors lattice = None))
+    [ lattice ~preds:(fun _ _ -> []); lattice ~preds:(fun _ _ -> all_states 2) ]
 
 let test_position_dependent_states () =
-  (* The admissible-state sets differ per position (as with D_i). *)
+  (* The admissible-state sets differ per position (as with D_i): the
+     middle position only admits the state labelled 5. *)
+  let labels = [| [| 3; 5 |]; [| 5 |]; [| 3; 5 |] |] in
   let lattice =
-    {
-      Fhmm.length = 3;
-      states = (fun i -> if i = 1 then [| 5 |] else [| 3; 5 |]);
-      init = (fun _ -> log 0.5);
-      trans = (fun _ _ _ -> log 0.5);
-      emit = (fun _ _ -> Logspace.one);
-    }
+    make_lattice
+      ~sizes:(Array.map Array.length labels)
+      ~preds:(fun i _ -> all_states (Array.length labels.(i - 1)))
+      ~init:(fun _ -> log 0.5)
+      ~trans:(fun _ _ _ -> log 0.5)
+      ~emit:(fun _ _ -> Logspace.one)
   in
   match Fhmm.viterbi lattice with
-  | Some path -> check_int "middle state forced" 5 path.(1)
+  | Some path -> check_int "middle state forced" 5 labels.(1).(path.(1))
   | None -> Alcotest.fail "expected a path"
 
 let test_single_position () =
+  let labels = [| 7; 9 |] in
   let lattice =
-    {
-      Fhmm.length = 1;
-      states = (fun _ -> [| 7; 9 |]);
-      init = (fun s -> log (if s = 9 then 0.8 else 0.2));
-      trans = (fun _ _ _ -> Logspace.zero);
-      emit = (fun _ _ -> Logspace.one);
-    }
+    make_lattice ~sizes:[| 2 |]
+      ~preds:(fun _ _ -> [])
+      ~init:(fun s -> log (if labels.(s) = 9 then 0.8 else 0.2))
+      ~trans:(fun _ _ _ -> Logspace.zero)
+      ~emit:(fun _ _ -> Logspace.one)
   in
   match Fhmm.viterbi lattice with
-  | Some path -> check_int "most likely initial state" 9 path.(0)
+  | Some path -> check_int "most likely initial state" 9 labels.(path.(0))
   | None -> Alcotest.fail "expected a path"
+
+let test_create_rejects_unordered () =
+  Alcotest.check_raises "descending predecessors"
+    (Invalid_argument "Fhmm.create: predecessors must ascend within range")
+    (fun () ->
+      ignore
+        (Fhmm.create ~sizes:[| 2; 1 |] ~preds:(fun _ _ add -> add 1; add 0)))
+
+(* A random small sparse lattice from [seed]: up to 6 positions of up to
+   6 states, each possible edge present with probability 1/2 (so some
+   states have none), and about one emission in ten of probability
+   zero. *)
+let random_lattice seed =
+  let rng = Random.State.make [| seed |] in
+  let weight () = log (0.05 +. Random.State.float rng 0.95) in
+  let sizes =
+    Array.init (1 + Random.State.int rng 6) (fun _ -> 1 + Random.State.int rng 6)
+  in
+  let preds =
+    Array.mapi
+      (fun i size ->
+        Array.init size (fun _ ->
+            if i = 0 then []
+            else
+              List.filter
+                (fun _ -> Random.State.bool rng)
+                (all_states sizes.(i - 1))))
+      sizes
+  in
+  make_lattice ~sizes
+    ~preds:(fun i s -> preds.(i).(s))
+    ~init:(fun _ -> weight ())
+    ~trans:(fun _ _ _ -> weight ())
+    ~emit:(fun _ _ ->
+      if Random.State.int rng 10 = 0 then Logspace.zero else weight ())
+
+let prop_sparse_lattice =
+  QCheck.Test.make ~name:"sparse lattice agrees with path enumeration"
+    ~count:300 QCheck.int (fun seed ->
+      let lattice = random_lattice seed in
+      let sizes =
+        Array.init lattice.Fhmm.length (fun i ->
+            lattice.Fhmm.first.(i + 1) - lattice.Fhmm.first.(i))
+      in
+      let scores =
+        List.map (fun path -> (path, Fhmm.path_log_prob lattice path))
+          (all_paths sizes)
+      in
+      let feasible = List.filter (fun (_, s) -> s > Logspace.zero) scores in
+      let best = List.fold_left (fun acc (_, s) -> Float.max acc s) Logspace.zero scores in
+      let total = List.fold_left (fun acc (_, s) -> acc +. exp s) 0. feasible in
+      match (Fhmm.viterbi lattice, posteriors lattice) with
+      | None, None -> feasible = []
+      | Some path, Some workspace ->
+        feasible <> []
+        && Float.abs (Fhmm.path_log_prob lattice path -. best) < 1e-9
+        && Float.abs (Fhmm.log_likelihood workspace -. log total) < 1e-9
+        && List.for_all
+             (fun (gamma_mass, xi_mass) ->
+               Float.abs (gamma_mass -. 1.) < 1e-9
+               && Float.abs (xi_mass -. 1.) < 1e-9)
+             (position_masses lattice workspace)
+      | _ -> false)
 
 let () =
   Alcotest.run "tabseg_hmm"
@@ -248,5 +349,10 @@ let () =
           Alcotest.test_case "position dependent states" `Quick
             test_position_dependent_states;
           Alcotest.test_case "single position" `Quick test_single_position;
+          Alcotest.test_case "unordered predecessors rejected" `Quick
+            test_create_rejects_unordered;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 13 |])
+            prop_sparse_lattice;
         ] );
     ]
