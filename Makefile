@@ -8,7 +8,7 @@
 # byte-identical to procs=1, and a worker killed mid-request recovers
 # to a correct — not typed-error — result via a single re-dispatch), and
 # the overload smoke (a fixed-seed Zipf-skewed burst at ~1.6x fleet
-# capacity: the spill+shed gateway must keep goodput positive with the
+# capacity: the derived gateway must keep goodput positive with the
 # degradation ladder demonstrably engaged, no worker crashes, and every
 # completed response byte-identical to the sequential reference), and
 # the daemon smoke (a real daemon process serving 8 pipelined socket
@@ -87,9 +87,9 @@ bench-gateway:
 
 # Overload / graceful-degradation sweep: open-loop Zipf-skewed stampedes
 # at rates below, near, and past fleet capacity, against each rung of
-# the degradation ladder (static affinity / spill / spill+shed / full
-# with per-site quotas) → BENCH_overload.json, including the
-# goodput ratio of spill+shed over the static baseline at the top rate.
+# the degradation ladder (derived spill + shed off the deadline / full
+# with per-site quotas) → BENCH_overload.json, including the derived
+# rung's goodput at the top rate.
 # Forks workers, so like bench-gateway it needs its own process.
 bench-overload:
 	dune exec bench/main.exe -- overload --json

@@ -833,7 +833,10 @@ let throughput_json points =
    segmentation — domain speedup is bounded by hardware cores) and "io"
    (each cache-missing request also waits out a simulated 750 ms page
    fetch, the regime a live crawler-segmenter serves in — the pool
-   overlaps the waits regardless of core count).
+   overlaps the waits regardless of core count). A cpu request costs a
+   few milliseconds, so a cpu cell runs 20 rounds (240 requests):
+   with the io cell's 3 rounds, domain spawn and the slowest site would
+   dominate the speedup column.
 
    Multi-domain OCaml pays a stop-the-world rendezvous per minor
    collection, and segmentation allocates heavily; a larger minor heap
@@ -845,8 +848,8 @@ let throughput_json points =
    header and JSON record the size actually in force. *)
 let throughput ?(json = false) () =
   section "Throughput: serve layer, domains x cache sweep (12 sites)";
-  Printf.printf "(1 cold + 2 warm rounds per cell; %d hardware domain(s) \
-                 recommended; minor heap %d words%s)\n"
+  Printf.printf "(1 cold + 19 warm rounds per cpu cell, 1 + 2 per io cell; \
+                 %d hardware domain(s) recommended; minor heap %d words%s)\n"
     (Domain.recommended_domain_count ())
     (Gc.get ()).Gc.minor_heap_size
     (if (Gc.get ()).Gc.minor_heap_size < 4 * 1024 * 1024 then
@@ -868,16 +871,16 @@ let throughput ?(json = false) () =
   in
   let cells =
     List.concat_map
-      (fun (workload, fetch_s) ->
+      (fun (workload, fetch_s, warm) ->
         List.concat_map
           (fun jobs ->
             List.map
               (fun cache_on ->
-                throughput_point ~workload ~fetch_s ~jobs ~cache_on ~warm:2
+                throughput_point ~workload ~fetch_s ~jobs ~cache_on ~warm
                   ~requests ~reference)
               [ false; true ])
           [ 1; 2; 4 ])
-      [ ("cpu", 0.); ("io", 0.75) ]
+      [ ("cpu", 0., 19); ("io", 0.75, 2) ]
   in
   let baseline workload cache_on =
     match
@@ -1501,29 +1504,15 @@ let overload_input () =
 let overload_labels =
   Array.init 12 (fun i -> Printf.sprintf "overload-site-%02d" i)
 
-type overload_mode = {
-  om_name : string;
-  om_spill : int option;
-  om_shed : bool;
-  om_quota : float option;
-}
+(* The rungs of the ladder that are still configuration: spill and
+   shed are derived from the gateway's own service-time EWMA, so what
+   varies is the per-site quota on top of the deadline. *)
+type overload_mode = { om_name : string; om_quota : float option }
 
 let overload_modes =
   [
-    { om_name = "static"; om_spill = None; om_shed = false; om_quota = None };
-    { om_name = "spill"; om_spill = Some 2; om_shed = false; om_quota = None };
-    {
-      om_name = "spill+shed";
-      om_spill = Some 2;
-      om_shed = true;
-      om_quota = None;
-    };
-    {
-      om_name = "full";
-      om_spill = Some 2;
-      om_shed = true;
-      om_quota = Some 25.0;
-    };
+    { om_name = "derived"; om_quota = None };
+    { om_name = "full"; om_quota = Some 25.0 };
   ]
 
 type overload_point = {
@@ -1556,8 +1545,6 @@ let overload_cell ~mode ~rate ~waves ~wave_s ~service_s ~deadline_s ~input
       Gw.default_config with
       Gw.procs = 2;
       deadline_s = Some deadline_s;
-      spill_threshold = mode.om_spill;
-      shed = mode.om_shed;
       site_quota_rps = mode.om_quota;
     }
   in
@@ -1671,37 +1658,34 @@ let overload_json ~rates ~waves ~wave_s ~service_s ~deadline_s points =
       p.o_max_backlog p.o_restarts p.o_deterministic
   in
   let top_rate = List.fold_left max 0 rates in
-  let goodput mode =
+  let derived_at_top =
     match
-      List.find_opt (fun p -> p.o_rate = top_rate && p.o_mode = mode) points
+      List.find_opt
+        (fun p -> p.o_rate = top_rate && p.o_mode = "derived")
+        points
     with
     | Some p -> p.o_goodput
     | None -> nan
   in
-  let static = goodput "static" and degraded = goodput "spill+shed" in
   Printf.sprintf
     "{\n  \"bench\": \"gateway.overload\",\n  \"procs\": 2,\n  \
      \"service_ms\": %.1f,\n  \"deadline_ms\": %.1f,\n  \
      \"zipf_exponent\": 1.5,\n  \"sites\": %d,\n  \"waves\": %d,\n  \
      \"wave_s\": %.2f,\n  \"seed\": 4242,\n  \"sweep\": [\n%s\n  ],\n  \
-     \"top_rate\": %d,\n  \"goodput_static_at_top\": %.2f,\n  \
-     \"goodput_degraded_at_top\": %.2f,\n  \"degradation_ratio_at_top\": \
-     %.2f\n}\n"
+     \"top_rate\": %d,\n  \"goodput_derived_at_top\": %.2f\n}\n"
     (service_s *. 1000.) (deadline_s *. 1000.)
     (Array.length overload_labels)
     waves wave_s
     (String.concat ",\n" (List.map point_json points))
-    top_rate static degraded
-    (degraded /. static)
+    top_rate derived_at_top
 
 (* The overload benchmark: arrival rates below, at ~1.6x, and at ~2.4x
    the fleet's service capacity (2 workers x 1/service_s), against each
-   rung of the degradation ladder. The static baseline collapses — its
-   workers grind through zombie work whose deadlines already passed, so
-   in-deadline completions go to ~zero while backlogs grow without
-   bound; shedding keeps the queues holding only winnable work and
-   goodput pinned near capacity. Like the gateway bench, this must run
-   in a fresh process (fork before any domain). *)
+   rung of the degradation ladder. The deadline alone turns on the
+   derived spill and shed: queues hold only winnable work and goodput
+   stays pinned near capacity instead of collapsing into zombie work
+   whose deadlines already passed. Like the gateway bench, this must
+   run in a fresh process (fork before any domain). *)
 let overload_bench ?(json = false) () =
   section "Gateway overload: Zipf stampede x degradation ladder";
   let waves = 6 and wave_s = 0.5 in
@@ -1750,10 +1734,10 @@ let overload_bench ?(json = false) () =
   points
 
 (* The per-PR overload guard: one fixed-seed skewed burst at ~1.6x
-   capacity. The degraded gateway must keep goodput positive with the
+   capacity. The derived gateway must keep goodput positive with the
    ladder demonstrably engaged (something shed, something spilled), no
-   worker may crash or be restarted in either cell, and every completed
-   response must stay byte-identical to the sequential reference. *)
+   worker may crash or be restarted, and every completed response must
+   stay byte-identical to the sequential reference. *)
 let overload_smoke () =
   section "Overload smoke: skewed burst, goodput > 0, no worker crashes";
   let waves = 3 and wave_s = 0.5 in
@@ -1765,12 +1749,10 @@ let overload_smoke () =
       (gateway_reference
          [ { Serve.Service.id = "ref"; site = "ref"; input } ])
   in
-  let cell mode =
-    overload_cell ~mode ~rate ~waves ~wave_s ~service_s ~deadline_s ~input
-      ~reference
+  let derived =
+    overload_cell ~mode:(List.hd overload_modes) ~rate ~waves ~wave_s
+      ~service_s ~deadline_s ~input ~reference
   in
-  let static = cell (List.nth overload_modes 0) in
-  let degraded = cell (List.nth overload_modes 2) in
   let ok = ref true in
   let fail fmt =
     Printf.ksprintf
@@ -1779,24 +1761,19 @@ let overload_smoke () =
         Printf.printf "SMOKE FAILURE: %s\n" message)
       fmt
   in
-  if degraded.o_ok <= 0 then
-    fail "degraded mode completed nothing within deadline";
-  if degraded.o_shed <= 0 then fail "shedding never engaged";
-  if degraded.o_spilled <= 0 then fail "spill never engaged";
-  List.iter
-    (fun p ->
-      if p.o_restarts > 0 then
-        fail "%s cell crashed/restarted %d worker(s)" p.o_mode p.o_restarts;
-      if not p.o_deterministic then
-        fail "%s cell diverged from the sequential reference" p.o_mode)
-    [ static; degraded ];
+  if derived.o_ok <= 0 then
+    fail "derived mode completed nothing within deadline";
+  if derived.o_shed <= 0 then fail "shedding never engaged";
+  if derived.o_spilled <= 0 then fail "spill never engaged";
+  if derived.o_restarts > 0 then
+    fail "crashed/restarted %d worker(s)" derived.o_restarts;
+  if not derived.o_deterministic then
+    fail "diverged from the sequential reference";
   if not !ok then exit 1;
   Printf.printf
-    "smoke ok: %d/%d in-deadline under a %d req/s skewed burst (static \
-     baseline %d/%d), %d shed + %d spilled, no worker crashes, responses \
-     byte-identical\n"
-    degraded.o_ok degraded.o_offered rate static.o_ok static.o_offered
-    degraded.o_shed degraded.o_spilled
+    "smoke ok: %d/%d in-deadline under a %d req/s skewed burst, %d shed + \
+     %d spilled, no worker crashes, responses byte-identical\n"
+    derived.o_ok derived.o_offered rate derived.o_shed derived.o_spilled
 
 (* ------------------------------------------------------------------ *)
 (* Daemon: the socket front door under sustained concurrent load       *)
@@ -2458,14 +2435,6 @@ let stream_drain source =
   in
   go []
 
-let stream_percentile sorted q =
-  if Array.length sorted = 0 then 0.
-  else
-    let rank =
-      int_of_float (ceil (q *. float_of_int (Array.length sorted))) - 1
-    in
-    sorted.(max 0 (min rank (Array.length sorted - 1)))
-
 (* One cold repetition: batch = crawl everything, then segment; stream
    = same site through the engine off the lazy crawl, clocking the
    first record and sampling live words at each unit close. *)
@@ -2535,15 +2504,15 @@ let stream_bench ?(json = false) () =
   in
   let identical = List.for_all (fun (_, _, _, _, _, i) -> i) cells in
   let ms x = x *. 1e3 in
-  let batch_p50 = stream_percentile batch 0.5 in
-  let ttfr_p50 = stream_percentile ttfr 0.5 in
+  let batch_p50 = Serve.Metrics.nearest_rank batch 0.5 in
+  let ttfr_p50 = Serve.Metrics.nearest_rank ttfr 0.5 in
   let ratio = if batch_p50 > 0. then ttfr_p50 /. batch_p50 else 1. in
   Printf.printf "%-28s %10s %10s %10s\n" "" "p50 ms" "p95 ms" "max ms";
   List.iter
     (fun (label, s) ->
       Printf.printf "%-28s %10.1f %10.1f %10.1f\n" label
-        (ms (stream_percentile s 0.5))
-        (ms (stream_percentile s 0.95))
+        (ms (Serve.Metrics.nearest_rank s 0.5))
+        (ms (Serve.Metrics.nearest_rank s 0.95))
         (ms s.(Array.length s - 1)))
     [
       ("batch total (crawl+segment)", batch);
@@ -2572,8 +2541,8 @@ let stream_bench ?(json = false) () =
       add
         "  \"%s_ms\": {\"p50\": %.3f, \"p95\": %.3f, \"max\": %.3f},\n"
         label
-        (ms (stream_percentile s 0.5))
-        (ms (stream_percentile s 0.95))
+        (ms (Serve.Metrics.nearest_rank s 0.5))
+        (ms (Serve.Metrics.nearest_rank s 0.95))
         (ms s.(Array.length s - 1))
     in
     add "{\n";

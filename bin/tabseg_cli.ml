@@ -272,6 +272,31 @@ let record_line url (record : Tabseg.Segmentation.record) =
           (fun (e : Tabseg_extract.Extract.t) -> e.Tabseg_extract.Extract.text)
           record.Tabseg.Segmentation.extracts))
 
+(* The one gateway configuration both [auto --procs] and [serve] run:
+   per-worker service settings plus the operator's overload policy
+   (deadline and per-site quota; spill and shed are derived). *)
+let gateway_config ~method_ ~jobs ~procs ~cache_mb ~store_dir ~site_quota
+    ~deadline =
+  let open Tabseg_serve in
+  let open Tabseg_gateway in
+  {
+    Gateway.default_config with
+    Gateway.procs = max 1 procs;
+    deadline_s = deadline;
+    site_quota_rps = site_quota;
+    service =
+      {
+        Service.default_config with
+        Service.jobs;
+        method_;
+        cache =
+          (if cache_mb > 0 then
+             Some { Cache.default_config with Cache.capacity_mb = cache_mb }
+           else None);
+        store_dir;
+      };
+  }
+
 let auto_cmd =
   let site_arg =
     let doc = "Site to simulate and navigate (see $(b,tabseg sites))." in
@@ -377,19 +402,6 @@ let auto_cmd =
     Arg.(
       value & opt (some string) None & info [ "store" ] ~doc ~docv:"DIR")
   in
-  let spill_arg =
-    let doc =
-      "With --procs > 1: adaptive affinity. When a request's \
-       site-affinity worker already holds more than $(docv) requests, \
-       route it to the least-loaded worker instead (counted as \
-       gateway.spilled). Results stay byte-identical; only tail \
-       latency changes. Unset: strict affinity, never spill."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "spill-threshold" ] ~doc ~docv:"N")
-  in
   let quota_arg =
     let doc =
       "With --procs > 1: per-site admission quota. Each site gets a \
@@ -401,21 +413,13 @@ let auto_cmd =
     Arg.(
       value & opt (some float) None & info [ "site-quota" ] ~doc ~docv:"RPS")
   in
-  let shed_arg =
-    let doc =
-      "With --procs > 1 and --deadline: deadline-aware load shedding. \
-       Reject at admission any request predicted (per-worker EWMA of \
-       service time times queue depth) to miss its deadline, so worker \
-       queues hold only winnable work. Off by default: requests queue \
-       and may burn their whole deadline before failing."
-    in
-    Arg.(value & flag & info [ "shed" ] ~doc)
-  in
   let deadline_arg =
     let doc =
       "With --procs > 1: per-request deadline at the gateway, in \
        seconds; a request not answered in time fails with a typed \
-       deadline error. Unset: wait forever."
+       deadline error, and one whose worker's measured backlog already \
+       predicts a miss is shed at admission. Unset: wait forever, shed \
+       nothing."
     in
     Arg.(
       value
@@ -424,7 +428,7 @@ let auto_cmd =
   in
   let run method_ site_name fault_rate fault_seed permanent retries
       show_report jobs procs cache_mb show_metrics metrics_json stream
-      store_dir spill_threshold site_quota shed deadline =
+      store_dir site_quota deadline =
     match Tabseg_sitegen.Sites.find site_name with
     | exception Not_found ->
       Printf.eprintf "unknown site %S; try `tabseg sites`\n" site_name;
@@ -465,27 +469,8 @@ let auto_cmd =
           let open Tabseg_serve in
           let open Tabseg_gateway in
           let config =
-            {
-              Gateway.default_config with
-              Gateway.procs;
-              deadline_s = deadline;
-              spill_threshold;
-              site_quota_rps = site_quota;
-              shed;
-              service =
-                {
-                  Service.default_config with
-                  Service.jobs;
-                  method_;
-                  cache =
-                    (if cache_mb > 0 then
-                       Some
-                         { Cache.default_config with
-                           Cache.capacity_mb = cache_mb }
-                     else None);
-                  store_dir;
-                };
-            }
+            gateway_config ~method_ ~jobs ~procs ~cache_mb ~store_dir
+              ~site_quota ~deadline
           in
           let gateway = Gateway.create ~config () in
           Gateway.install_sigterm gateway;
@@ -659,7 +644,7 @@ let auto_cmd =
       const run $ method_arg $ site_arg $ faults_arg $ fault_seed_arg
       $ permanent_arg $ retries_arg $ report_arg $ jobs_arg $ procs_arg
       $ cache_mb_arg $ metrics_arg $ metrics_json_arg $ stream_arg
-      $ store_arg $ spill_arg $ quota_arg $ shed_arg $ deadline_arg)
+      $ store_arg $ quota_arg $ deadline_arg)
 
 (* ------------------------------- serve ----------------------------- *)
 
@@ -673,30 +658,6 @@ let address_conv =
     Format.pp_print_string ppf (Tabseg_daemon.Protocol.address_to_string a)
   in
   Arg.conv ~docv:"ADDR" (parse, print)
-
-let gateway_config ~method_ ~jobs ~procs ~cache_mb ~store_dir ~spill_threshold
-    ~site_quota ~shed ~deadline =
-  let open Tabseg_serve in
-  let open Tabseg_gateway in
-  {
-    Gateway.default_config with
-    Gateway.procs = max 1 procs;
-    deadline_s = deadline;
-    spill_threshold;
-    site_quota_rps = site_quota;
-    shed;
-    service =
-      {
-        Service.default_config with
-        Service.jobs;
-        method_;
-        cache =
-          (if cache_mb > 0 then
-             Some { Cache.default_config with Cache.capacity_mb = cache_mb }
-           else None);
-        store_dir;
-      };
-  }
 
 let serve_cmd =
   let open Tabseg_daemon in
@@ -771,11 +732,6 @@ let serve_cmd =
     let doc = "Persistent store directory shared by the workers." in
     Arg.(value & opt (some string) None & info [ "store" ] ~doc ~docv:"DIR")
   in
-  let spill_arg =
-    let doc = "Adaptive affinity spill threshold (see $(b,tabseg auto))." in
-    Arg.(
-      value & opt (some int) None & info [ "spill-threshold" ] ~doc ~docv:"N")
-  in
   let quota_arg =
     let doc =
       "Per-site admission quota (requests/second). Excess requests are \
@@ -785,20 +741,19 @@ let serve_cmd =
     Arg.(
       value & opt (some float) None & info [ "site-quota" ] ~doc ~docv:"RPS")
   in
-  let shed_arg =
-    let doc = "Deadline-aware admission shedding (needs --deadline)." in
-    Arg.(value & flag & info [ "shed" ] ~doc)
-  in
   let deadline_arg =
-    let doc = "Per-request deadline at the gateway, in seconds." in
+    let doc =
+      "Per-request deadline at the gateway, in seconds; also sheds, at \
+       admission, requests predicted to miss it (see $(b,tabseg auto))."
+    in
     Arg.(
       value
       & opt (some float) None
       & info [ "deadline" ] ~doc ~docv:"SECONDS")
   in
   let run method_ listen auth_token idle_timeout max_conn_inflight
-      max_connections drain_grace procs jobs cache_mb store_dir spill_threshold
-      site_quota shed deadline =
+      max_connections drain_grace procs jobs cache_mb store_dir site_quota
+      deadline =
     let config =
       {
         Daemon.listen;
@@ -810,7 +765,7 @@ let serve_cmd =
         drain_grace_s = drain_grace;
         gateway =
           gateway_config ~method_ ~jobs ~procs ~cache_mb ~store_dir
-            ~spill_threshold ~site_quota ~shed ~deadline;
+            ~site_quota ~deadline;
       }
     in
     match Daemon.create ~config () with
@@ -838,7 +793,7 @@ let serve_cmd =
     Term.(
       const run $ method_arg $ listen_arg $ auth_arg $ idle_arg $ inflight_arg
       $ max_conns_arg $ drain_grace_arg $ procs_arg $ jobs_arg $ cache_mb_arg
-      $ store_arg $ spill_arg $ quota_arg $ shed_arg $ deadline_arg)
+      $ store_arg $ quota_arg $ deadline_arg)
 
 (* ------------------------------ corpus ------------------------------ *)
 

@@ -1,6 +1,7 @@
 module Metrics = Tabseg_eval.Metrics
 module Scorer = Tabseg_eval.Scorer
 module Service = Tabseg_serve.Service
+module Serve_metrics = Tabseg_serve.Metrics
 
 type config = {
   method_ : Tabseg.Api.method_;
@@ -45,15 +46,9 @@ type distribution = {
 
 let distribution values =
   if values = [] then invalid_arg "Harness.distribution: empty sample";
-  let sorted = List.sort compare values in
-  let arr = Array.of_list sorted in
+  let arr = Array.of_list (List.sort compare values) in
   let n = Array.length arr in
-  let percentile q =
-    (* nearest-rank: the smallest value with at least q% of the sample at
-       or below it *)
-    let rank = int_of_float (ceil (q /. 100. *. float_of_int n)) in
-    arr.(max 0 (min (n - 1) (rank - 1)))
-  in
+  let percentile = Serve_metrics.nearest_rank arr in
   let mean = List.fold_left ( +. ) 0. values /. float_of_int n in
   let histogram = Array.make 10 0 in
   List.iter
@@ -63,11 +58,11 @@ let distribution values =
     values;
   {
     d_mean = mean;
-    d_p5 = percentile 5.;
-    d_p25 = percentile 25.;
-    d_p50 = percentile 50.;
-    d_p75 = percentile 75.;
-    d_p95 = percentile 95.;
+    d_p5 = percentile 0.05;
+    d_p25 = percentile 0.25;
+    d_p50 = percentile 0.50;
+    d_p75 = percentile 0.75;
+    d_p95 = percentile 0.95;
     d_histogram = histogram;
   }
 
@@ -281,20 +276,6 @@ let render_report report =
 
 (* ------------------------------- JSON -------------------------------- *)
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
 let json_distribution d =
   Printf.sprintf
     "{\"mean\": %.4f, \"p5\": %.4f, \"p25\": %.4f, \"p50\": %.4f, \"p75\": \
@@ -339,10 +320,10 @@ let report_json ~params ~config report =
   add "  \"families\": [\n";
   List.iteri
     (fun i fs ->
-      add "    {\"family\": \"%s\", \"sites\": %d, \"micro\": %s, \
+      add "    {\"family\": %s, \"sites\": %d, \"micro\": %s, \
            \"f1_mean\": %.4f}%s\n"
-        (json_escape fs.fs_family) fs.fs_sites (json_counts fs.fs_counts)
-        fs.fs_f1_mean
+        (Serve_metrics.json_string fs.fs_family)
+        fs.fs_sites (json_counts fs.fs_counts) fs.fs_f1_mean
         (if i = List.length report.families - 1 then "" else ","))
     report.families;
   add "  ],\n";
@@ -350,13 +331,15 @@ let report_json ~params ~config report =
   List.iteri
     (fun i r ->
       add
-        "    {\"name\": \"%s\", \"family\": \"%s\", \"seed\": %d, \"rows\": \
-         %d, \"scored\": %d, \"f1\": %.4f, \"counts\": %s%s}%s\n"
-        (json_escape r.r_name) (json_escape r.r_family) r.r_seed r.r_rows
+        "    {\"name\": %s, \"family\": %s, \"seed\": %d, \"rows\": %d, \
+         \"scored\": %d, \"f1\": %.4f, \"counts\": %s%s}%s\n"
+        (Serve_metrics.json_string r.r_name)
+        (Serve_metrics.json_string r.r_family)
+        r.r_seed r.r_rows
         r.r_scored r.r_f1 (json_counts r.r_counts)
         (match r.r_error with
         | None -> ""
-        | Some e -> Printf.sprintf ", \"error\": \"%s\"" (json_escape e))
+        | Some e -> ", \"error\": " ^ Serve_metrics.json_string e)
         (if i = List.length report.worst - 1 then "" else ","))
     report.worst;
   add "  ],\n";

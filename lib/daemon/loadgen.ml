@@ -2,6 +2,7 @@ module Wire = Tabseg_gateway.Wire
 module Conn = Tabseg_gateway.Conn
 module Gateway = Tabseg_gateway.Gateway
 module Service = Tabseg_serve.Service
+module Metrics = Tabseg_serve.Metrics
 
 type mode =
   | Open_loop of { rate : float }
@@ -109,14 +110,6 @@ let error_label = function
 let zipf_sampler ~state ~n ~exponent =
   let cdf = Tabseg_sitegen.Prng.zipf_cdf ~n ~exponent in
   fun () -> Tabseg_sitegen.Prng.zipf_index cdf (Random.State.float state 1.0)
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else begin
-    let rank = int_of_float (Float.round (p *. float_of_int (n - 1))) in
-    sorted.(max 0 (min (n - 1) rank))
-  end
 
 let now () = Unix.gettimeofday ()
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -514,17 +507,17 @@ let run cfg =
             rps = float_of_int !completed /. wall;
             goodput_rps = float_of_int !ok /. wall;
             mean_ms = ms mean;
-            p50_ms = ms (percentile lat 0.50);
-            p95_ms = ms (percentile lat 0.95);
-            p99_ms = ms (percentile lat 0.99);
+            p50_ms = ms (Metrics.nearest_rank lat 0.50);
+            p95_ms = ms (Metrics.nearest_rank lat 0.95);
+            p99_ms = ms (Metrics.nearest_rank lat 0.99);
             max_ms =
               (if Array.length lat = 0 then 0.
                else ms lat.(Array.length lat - 1));
             records = !records;
             ttfr_mean_ms = ms (mean_of ttfr);
-            ttfr_p50_ms = ms (percentile ttfr 0.50);
-            ttfr_p95_ms = ms (percentile ttfr 0.95);
-            ttfr_p99_ms = ms (percentile ttfr 0.99);
+            ttfr_p50_ms = ms (Metrics.nearest_rank ttfr 0.50);
+            ttfr_p95_ms = ms (Metrics.nearest_rank ttfr 0.95);
+            ttfr_p99_ms = ms (Metrics.nearest_rank ttfr 0.99);
           }
     end
   end

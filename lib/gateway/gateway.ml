@@ -9,9 +9,7 @@ type config = {
   max_restarts : int;
   backoff_s : float;
   backoff_cap_s : float;
-  spill_threshold : int option;
   site_quota_rps : float option;
-  shed : bool;
   ping_timeout_s : float option;
 }
 
@@ -24,9 +22,7 @@ let default_config =
     max_restarts = 5;
     backoff_s = 0.05;
     backoff_cap_s = 2.0;
-    spill_threshold = None;
     site_quota_rps = None;
-    shed = false;
     ping_timeout_s = None;
   }
 
@@ -393,71 +389,75 @@ let quota_admit t (request : Service.request) =
       Error (Quota_exceeded { site; retry_after_s = slot -. at })
     end
 
-(* Adaptive affinity: a request's home is still its site-digest slot —
-   that worker holds the site's warm template cache — but when the home
-   worker's backlog is past [spill_threshold] frames (or the slot is
-   down), the request goes to the least-loaded live worker instead,
-   trading cache locality for tail latency. Deterministic: ties break
-   to the lowest slot index. Returns the slot and whether it spilled. *)
-let choose_slot t forked site =
-  let preferred = slot_of_site ~procs:t.cfg.procs site in
-  match t.cfg.spill_threshold with
-  | None -> (preferred, false)
-  | Some threshold ->
-    let load index =
-      match forked.slots.(index).s_state with
-      | Live _ -> Some forked.slots.(index).s_busy
-      | Restarting _ | Failed -> None
-    in
-    let preferred_ok =
-      match load preferred with
-      | Some busy -> busy <= threshold
-      | None -> false
-    in
-    if preferred_ok then (preferred, false)
-    else begin
-      let best = ref None in
-      Array.iter
-        (fun slot ->
-          match load slot.s_index with
-          | Some busy -> (
-            match !best with
-            | Some (_, best_busy) when best_busy <= busy -> ()
-            | _ -> best := Some (slot.s_index, busy))
-          | None -> ())
-        forked.slots;
-      match !best with
-      | Some (index, _) when index <> preferred -> (index, true)
-      | Some _ | None -> (preferred, false)
-    end
-
 (* Smoothing factor for the per-worker service-time EWMA. *)
 let ewma_alpha = 0.3
 
-(* Deadline-aware shedding: admit a request only if the worker it was
-   routed to can plausibly answer within the deadline. The estimate is
-   the slot's service-time EWMA times the frames already ahead of it
-   (zombies included) plus itself; a slot that has never answered is
-   seeded from the turnaround histogram's mean. The seed can be
-   polluted by past expiries (an expiry observes ~the deadline), so it
-   only sheds off a non-empty backlog — an idle worker with no genuine
-   measurement always gets the request. *)
+(* The one load model spill and shed share. A slot's per-request
+   service estimate is its EWMA ([genuine]); a slot that has never
+   answered is seeded from the turnaround histogram's mean, which past
+   expiries can pollute (an expiry observes ~the deadline). [None]
+   until anything at all has been measured. *)
+let estimate t slot =
+  match slot.s_ewma with
+  | Some e -> Some (e, true)
+  | None ->
+    let s = Metrics.summary t.m_turnaround_s in
+    if s.Metrics.count > 0 then Some (Metrics.mean s, false) else None
+
+(* Predicted completion of one more request on [slot]: the estimate
+   times the frames ahead of it (zombies included) plus itself. *)
+let completion per_request slot = per_request *. float_of_int (slot.s_busy + 1)
+
+(* Adaptive affinity: a request's home is its site-digest slot — that
+   worker holds the site's warm template cache — unless the home is
+   down, or the live slot with the least predicted completion would
+   finish the request before the home could even start it (home
+   completion minus one home service interval). With equal workers
+   that is a home backlog at least 2 frames above the shortest, and a
+   request alone in flight never spills. Before any measurement every
+   slot counts in frames. Deterministic: ties break to the lowest slot
+   index. Returns the slot and whether it spilled. *)
+let choose_slot t forked site =
+  let home = forked.slots.(slot_of_site ~procs:t.cfg.procs site) in
+  let live slot =
+    match slot.s_state with Live _ -> true | Restarting _ | Failed -> false
+  in
+  let per_request slot =
+    match estimate t slot with Some (e, _) -> e | None -> 1.
+  in
+  let best =
+    Array.fold_left
+      (fun best slot ->
+        if not (live slot) then best
+        else
+          let c = completion (per_request slot) slot in
+          match best with
+          | Some (_, best_c) when best_c <= c -> best
+          | _ -> Some (slot.s_index, c))
+      None forked.slots
+  in
+  match best with
+  | Some (index, best_c)
+    when index <> home.s_index
+         && ((not (live home))
+            || per_request home *. float_of_int home.s_busy > best_c) ->
+    (index, true)
+  | Some _ | None -> (home.s_index, false)
+
+(* Deadline-aware shedding: with a deadline, admit a request only if
+   the worker it was routed to can plausibly answer within it. A seeded
+   (not genuine) estimate only sheds off a non-empty backlog — an idle
+   worker with no genuine measurement always gets the request. Without
+   a deadline nothing can be lost, so nothing is shed. *)
 let shed_check t forked index =
-  match (t.cfg.shed, t.cfg.deadline_s) with
-  | false, _ | _, None -> Ok ()
-  | true, Some deadline_s -> (
+  match t.cfg.deadline_s with
+  | None -> Ok ()
+  | Some deadline_s -> (
     let slot = forked.slots.(index) in
-    let estimate =
-      match slot.s_ewma with
-      | Some e -> Some (e, true)
-      | None ->
-        let s = Metrics.summary t.m_turnaround_s in
-        if s.Metrics.count > 0 then Some (Metrics.mean s, false) else None
-    in
-    match estimate with
+    match estimate t slot with
     | None -> Ok ()
     | Some (per_request, genuine) ->
-      let predicted_s = per_request *. float_of_int (slot.s_busy + 1) in
+      let predicted_s = completion per_request slot in
       if predicted_s > deadline_s && (genuine || slot.s_busy > 0) then
         Error (Shed { predicted_s; deadline_s })
       else Ok ())
@@ -901,8 +901,8 @@ let submit_common t ?(fault = Wire.No_fault) ?on_record ~on_complete
         on_complete response)
     | Forked forked -> (
       (* The ladder runs in order: the global inflight cap, the
-         per-site quota, spill-aware placement, then the
-         deadline-feasibility check against the chosen worker's
+         per-site quota, spill-aware placement, then (with a
+         deadline) the feasibility check against the chosen worker's
          backlog. Only a request that clears all four becomes a
          pending. *)
       if Hashtbl.length forked.pending >= t.capacity then

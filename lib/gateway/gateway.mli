@@ -19,6 +19,19 @@
     one home. With [procs <= 1] nothing is forked — requests run inline
     on an embedded service, the reference sequential mode.
 
+    Overload policy is derived, not configured. The master keeps a
+    service-time EWMA per worker (seeded from the
+    [gateway.turnaround_seconds] mean until the worker first answers)
+    and predicts a request's completion on a worker as that estimate
+    times its backlog plus one. A request {e spills} off its home
+    (counted as [gateway.spilled]) when the home is down, or when the
+    live worker with the least predicted completion would finish it
+    before the home could start it — with equal workers, a home backlog
+    at least 2 frames above the shortest; a request alone in flight
+    never spills. With [deadline_s] set, a request whose predicted
+    completion already misses the deadline is {e shed} at admission.
+    Results stay byte-identical: only placement and refusals change.
+
     Supervision: the master detects a dead worker by its socket (EOF /
     EPIPE — a single-threaded worker grinding through a long request
     legitimately ignores heartbeats, so silence alone never kills),
@@ -37,32 +50,20 @@ type config = {
   deadline_s : float option;
       (** per-request deadline, measured from submission at the master;
           an expired request resolves [Deadline_exceeded] and a late
-          reply is discarded (counted as [gateway.late_responses]) *)
+          reply is discarded (counted as [gateway.late_responses]).
+          Setting it also turns on shedding: a request predicted to
+          miss it is refused at admission with [Shed]. *)
   max_inflight : int option;
       (** cap on requests dispatched at once; the excess of a batch is
           refused with [Gateway_overloaded]. [None]: [128 * procs]. *)
   max_restarts : int;  (** restart budget per worker slot (default 5) *)
   backoff_s : float;  (** initial restart backoff (default 0.05) *)
   backoff_cap_s : float;  (** backoff ceiling (default 2.0) *)
-  spill_threshold : int option;
-      (** adaptive affinity: when a request's site-affinity worker
-          already holds more than this many frames (master-expired
-          zombies included), route it to the least-loaded live worker
-          instead, counting [gateway.spilled]. Results stay
-          byte-identical — only placement (and so tail latency)
-          changes. [None] (default): strict affinity, never spill. *)
   site_quota_rps : float option;
       (** per-site admission quota: a token bucket per site refilled at
           this rate (burst = one second of quota, at least 1), so one
           hot site cannot monopolize the fleet. Excess requests are
           refused with [Quota_exceeded]. [None] (default): unlimited. *)
-  shed : bool;
-      (** deadline-aware shedding (needs [deadline_s]): refuse at
-          admission, with [Shed], any request whose predicted
-          completion — the chosen worker's service-time EWMA times its
-          backlog — already misses the deadline, so worker queues hold
-          only winnable work. Default [false]: queue and let the
-          deadline expire. *)
   ping_timeout_s : float option;
       (** wedged-worker detection: heartbeat-Ping every live worker and
           SIGKILL + restart (through the capped-backoff path, counting

@@ -158,6 +158,15 @@ let summary histogram =
 
 let mean s = if s.count = 0 then 0. else s.sum /. float_of_int s.count
 
+(* The epsilon keeps float noise in [q * n] (0.07 * 100 is 7.000…01)
+   from bumping an exact rank to the next one. *)
+let nearest_rank sorted q =
+  let n = Array.length sorted in
+  if n = 0 then 0.
+  else
+    let rank = int_of_float (Float.ceil ((q *. float_of_int n) -. 1e-9)) in
+    sorted.(max 1 (min n rank) - 1)
+
 (* ------------------------------- dumps ------------------------------ *)
 
 let sorted_names table =

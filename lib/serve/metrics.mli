@@ -52,8 +52,16 @@ type summary = {
 val summary : histogram -> summary
 
 val mean : summary -> float
-(** [sum / count]; 0 when empty. The seed the gateway's load-shedding
-    EWMA starts from before a worker has answered anything. *)
+(** [sum / count]; 0 when empty. The seed the gateway's load model
+    starts from before a worker has answered anything. *)
+
+val nearest_rank : float array -> float -> float
+(** [nearest_rank sorted q]: the nearest-rank [q]-quantile of a raw
+    sample sorted ascending — the smallest value with at least a [q]
+    share of the sample at or below it, i.e. rank [ceil (q * n)]
+    clamped to [1..n]. [0.] when empty. The one quantile every
+    raw-sample percentile (load generator, corpus harness, benches)
+    reads. *)
 
 (** {1 Dumping} *)
 

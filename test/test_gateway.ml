@@ -372,50 +372,62 @@ let hot_reference () =
   | Ok result -> render result.Tabseg.Api.segmentation
   | Error error -> "ERROR: " ^ Tabseg.Api.input_error_message error
 
-let test_spill_on_vs_off () =
+let test_default_config_spills_hot_backlog () =
+  (* Every copy has the same home worker, so only the derived spill
+     can put the second worker to use. *)
   let expected = hot_reference () in
-  let timed config =
-    with_gateway config @@ fun gateway ->
-    (* Warm both workers' result caches first (with spill enabled the
-       warmup pair lands on both workers; without it both copies stay
-       home — where the timed batch runs too), so the timed comparison
-       measures queueing, not cold segmentation. *)
-    ignore (Gateway.run_batch gateway (hot_requests ~count:2));
-    let requests = hot_requests ~count:10 in
-    let started = Unix.gettimeofday () in
-    let responses =
-      Gateway.run_batch gateway
-        ~fault:(fun _ -> Wire.Sleep_s 0.05)
-        requests
-    in
-    let wall = Unix.gettimeofday () -. started in
-    check_int "every hot request answered" (List.length requests)
-      (List.length responses);
-    List.iteri
-      (fun i (response : Gateway.response) ->
-        check_string
-          (Printf.sprintf "hot request %d in submission order" i)
-          (List.nth requests i).Service.id response.Gateway.id;
-        check_string
-          (Printf.sprintf "hot request %d byte-identical" i)
-          expected (render_response response))
-      responses;
-    (wall, counter_value gateway "gateway.spilled")
-  in
-  let base = { Gateway.default_config with Gateway.procs = 2 } in
-  let wall_affinity, spilled_affinity = timed base in
-  let wall_spill, spilled_spill =
-    timed { base with Gateway.spill_threshold = Some 0 }
-  in
-  check_int "strict affinity never spills" 0 spilled_affinity;
-  check_bool "overloaded home worker spills" true (spilled_spill >= 4);
+  with_gateway { Gateway.default_config with Gateway.procs = 2 }
+  @@ fun gateway ->
+  let slow _ = Wire.Sleep_s 0.05 in
+  (* Warm both workers' result caches and service-time EWMAs first: a
+     burst of three leaves the third copy backlogged 2 frames deep at
+     home, so it spills. The timed batch then measures queueing, not
+     cold segmentation. *)
+  ignore (Gateway.run_batch gateway ~fault:slow (hot_requests ~count:3));
+  let warm_spilled = counter_value gateway "gateway.spilled" in
+  check_bool "the warmup burst reached the second worker" true
+    (warm_spilled >= 1);
+  let requests = hot_requests ~count:10 in
+  let started = Unix.gettimeofday () in
+  let responses = Gateway.run_batch gateway ~fault:slow requests in
+  let wall = Unix.gettimeofday () -. started in
+  check_int "every hot request answered" (List.length requests)
+    (List.length responses);
+  List.iteri
+    (fun i (response : Gateway.response) ->
+      check_string
+        (Printf.sprintf "hot request %d in submission order" i)
+        (List.nth requests i).Service.id response.Gateway.id;
+      check_string
+        (Printf.sprintf "hot request %d byte-identical" i)
+        expected (render_response response))
+    responses;
+  check_bool "the overloaded home worker spills" true
+    (counter_value gateway "gateway.spilled" - warm_spilled >= 4);
   (* A serial queue's wall clock is its tail latency: 10 sleeps behind
-     one worker vs ~5 behind each of two leaves a wide margin. *)
+     one worker (0.5 s) vs ~5 behind each of two leaves a wide margin. *)
   check_bool
-    (Printf.sprintf "spill cuts the hot-site tail (%.3fs vs %.3fs)"
-       wall_spill wall_affinity)
-    true
-    (wall_spill < wall_affinity *. 0.8)
+    (Printf.sprintf "spill cuts the hot-site tail (%.3fs vs 0.5s serial)" wall)
+    true (wall < 0.4)
+
+let test_sequential_requests_never_spill () =
+  (* One request in flight at a time: the home backlog is empty at
+     every admission, so placement is strict site affinity. *)
+  let requests = requests_of [ "ButlerCounty"; "AlleghenyCounty" ] in
+  let expected = sequential_reference requests in
+  with_gateway { Gateway.default_config with Gateway.procs = 2 }
+  @@ fun gateway ->
+  List.iteri
+    (fun i request ->
+      match Gateway.run_batch gateway [ request ] with
+      | [ response ] ->
+        check_string
+          (Printf.sprintf "sequential request %d byte-identical" i)
+          (List.nth expected i) (render_response response)
+      | _ -> Alcotest.fail "expected exactly one response")
+    requests;
+  check_int "nothing spilled" 0 (counter_value gateway "gateway.spilled");
+  check_int "nothing shed" 0 (counter_value gateway "gateway.shed")
 
 let test_quota_hits_only_the_hot_site () =
   let hot = hot_requests ~count:8 in
@@ -501,36 +513,25 @@ let test_quota_hints_are_decorrelated () =
     (adjacent hints)
 
 let test_shed_vs_queue_under_impossible_deadline () =
-  (* Batch 1 overcommits a worker: a few requests finish in time, the
-     rest expire at the master but keep the worker busy (zombie work).
-     Batch 2 arrives on top of that backlog with the same deadline.
-     Without shedding it queues and burns the full deadline before
-     failing; with shedding the EWMA model refuses it instantly and the
-     worker's queue holds only winnable work. *)
-  let run ~shed =
+  (* Batch 1 overcommits both workers (spill splits it ~7/5): two
+     requests per worker finish in time, the rest expire at the master
+     but keep their worker busy (zombie work), so each worker still
+     holds several frames when batch 2 arrives with the same deadline.
+     The EWMA model refuses all of batch 2 instantly, so the worker
+     queues hold only winnable work. Without a deadline nothing can be
+     lost: the same two batches queue and every request is answered. *)
+  let run deadline_s =
     with_gateway
-      { Gateway.default_config with
-        Gateway.procs = 2;
-        deadline_s = Some 0.25;
-        shed
-      }
+      { Gateway.default_config with Gateway.procs = 2; deadline_s }
     @@ fun gateway ->
     let slow _ = Wire.Sleep_s 0.12 in
-    ignore (Gateway.run_batch gateway ~fault:slow (hot_requests ~count:6));
+    ignore (Gateway.run_batch gateway ~fault:slow (hot_requests ~count:12));
     let responses =
       Gateway.run_batch gateway ~fault:slow (hot_requests ~count:6)
     in
     (responses, counter_value gateway "gateway.shed")
   in
-  let queued, shed_count_off = run ~shed:false in
-  check_int "shedding off never sheds" 0 shed_count_off;
-  List.iter
-    (fun (response : Gateway.response) ->
-      check_bool "without shedding the backlogged batch burns its deadline"
-        true
-        (response.Gateway.outcome = Error Gateway.Deadline_exceeded))
-    queued;
-  let shed, shed_count_on = run ~shed:true in
+  let shed, shed_count = run (Some 0.25) in
   List.iter
     (fun (response : Gateway.response) ->
       match response.Gateway.outcome with
@@ -541,7 +542,14 @@ let test_shed_vs_queue_under_impossible_deadline () =
         Alcotest.fail
           ("expected a typed Shed, got " ^ render_response response))
     shed;
-  check_int "every backlogged request was shed at admission" 6 shed_count_on
+  check_int "every backlogged request was shed at admission" 6 shed_count;
+  let queued, unbounded_shed_count = run None in
+  check_int "no deadline never sheds" 0 unbounded_shed_count;
+  List.iter
+    (fun (response : Gateway.response) ->
+      check_bool "without a deadline the backlogged batch is answered" true
+        (Result.is_ok response.Gateway.outcome))
+    queued
 
 let test_ping_timeout_restarts_wedged_worker () =
   (* A worker stuck in a 5 s stall never closes its socket, so the
@@ -639,15 +647,12 @@ let test_stream_matches_batch_inline () =
 (* ----------------------------- draining ----------------------------- *)
 
 let test_sigterm_drains () =
-  (* Hot-site duplicates with a zero spill threshold: the batch that is
-     in flight when SIGTERM lands includes spilled requests, so the
-     drain guarantee is exercised across both placement paths. *)
+  (* Hot-site duplicates: the home backlog grows past the other worker's
+     by 2 frames, so the batch that is in flight when SIGTERM lands
+     includes spilled requests, and the drain guarantee is exercised
+     across both placement paths. *)
   let requests = hot_requests ~count:6 in
-  with_gateway
-    { Gateway.default_config with
-      Gateway.procs = 2;
-      spill_threshold = Some 0
-    }
+  with_gateway { Gateway.default_config with Gateway.procs = 2 }
   @@ fun gateway ->
   Gateway.install_sigterm gateway;
   Fun.protect ~finally:(fun () ->
@@ -715,7 +720,9 @@ let () =
       ( "degradation",
         [
           Alcotest.test_case "spill cuts the hot-site tail, bytes identical"
-            `Slow test_spill_on_vs_off;
+            `Slow test_default_config_spills_hot_backlog;
+          Alcotest.test_case "one request in flight never spills" `Quick
+            test_sequential_requests_never_spill;
           Alcotest.test_case "quota rejection is typed and site-scoped" `Slow
             test_quota_hits_only_the_hot_site;
           Alcotest.test_case "same-tick quota hints are de-correlated" `Quick

@@ -317,6 +317,25 @@ let test_metrics_histogram_percentiles () =
   check_bool "p50 in the right decade" true
     (s.Metrics.p50 >= 0.001 && s.Metrics.p50 <= 0.01)
 
+(* Nearest rank reads rank ceil(q * n): p50 of [1;2;3;4] is 2, where
+   the rounded-interpolation index round(q * (n - 1)) would read 3. *)
+let test_nearest_rank_pins () =
+  List.iter
+    (fun (n, q, expected) ->
+      let sorted = Array.init n (fun i -> float_of_int (i + 1)) in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "n=%d q=%.2f" n q)
+        expected
+        (Metrics.nearest_rank sorted q))
+    [
+      (1, 0.5, 1.); (1, 0.95, 1.); (1, 0.99, 1.);
+      (2, 0.5, 1.); (2, 0.95, 2.); (2, 0.99, 2.);
+      (4, 0.5, 2.); (4, 0.95, 4.); (4, 0.99, 4.);
+      (10, 0.5, 5.); (10, 0.95, 10.); (10, 0.99, 10.);
+    ];
+  Alcotest.(check (float 0.)) "empty sample reads 0" 0.
+    (Metrics.nearest_rank [||] 0.5)
+
 let test_service_metrics_flow () =
   let requests = requests_of [ "ButlerCounty" ] in
   let service = Service.create () in
@@ -448,6 +467,8 @@ let () =
             test_metrics_counters_monotone;
           Alcotest.test_case "histogram percentiles ordered" `Quick
             test_metrics_histogram_percentiles;
+          Alcotest.test_case "nearest-rank quantile pins" `Quick
+            test_nearest_rank_pins;
           Alcotest.test_case "service threads metrics" `Quick
             test_service_metrics_flow;
           Alcotest.test_case "hostile label survives json escaping" `Quick
