@@ -15,10 +15,11 @@
 # connections: every reply byte-identical to the in-process reference,
 # zero worker restarts, graceful SIGTERM drain exiting 0), and the
 # corpus smoke (a small fixed-seed sampled corpus evaluated twice
-# through the service: zero service errors, median F1 above the floor,
-# per-family micro-F above wide floors derived from BENCH_corpus.json,
-# and an identical accuracy digest both times — the corpus sampler's
-# determinism contract), and the stream smoke (every built-in site and
+# through the service with each method: zero service errors, median F1
+# above the floor and per-family micro-F above wide floors derived from
+# BENCH_corpus.json for the probabilistic method, and for both an
+# identical accuracy digest both times — the corpus sampler's
+# determinism contract — equal to the digest pinned in bench/main.ml), and the stream smoke (every built-in site and
 # a 200-site corpus sample must stream byte-identically to the batch
 # segmentation under both methods).
 # `lint` runs tabseg_lint over lib/ bin/ bench/ and fails on any

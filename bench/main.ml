@@ -2337,11 +2337,19 @@ let corpus_bench ?(json = false) ?sites ?(seed = 7001) () =
   report
 
 (* The per-PR corpus guard: a small fixed-seed corpus must evaluate
-   without service errors, hold an F1 floor, and produce the same
-   accuracy digest twice in a row (the determinism contract the corpus
-   sampler promises). *)
+   without service errors under both methods, hold an F1 floor with the
+   probabilistic method, and produce the same accuracy digest twice in a
+   row (the determinism contract the corpus sampler promises). Each
+   method's digest is also pinned: a change that moves any per-site
+   count on these 24 sites fails here, not only in the benchmark. *)
+let corpus_smoke_digests =
+  [
+    (Tabseg.Api.Probabilistic, "9dcb276163613cdc5c47c7ab1c209741");
+    (Tabseg.Api.Csp, "65e8c413f5ce848202f7cb7797ac720a");
+  ]
+
 let corpus_smoke () =
-  section "Corpus smoke: fixed seed, F1 floor, deterministic digest";
+  section "Corpus smoke: fixed seed, F1 floor, pinned digests";
   let ok = ref true in
   let fail fmt =
     Printf.ksprintf
@@ -2352,31 +2360,44 @@ let corpus_smoke () =
   in
   let params = { Corpus_family.default_params with sites = 24; seed = 11 } in
   let specs = Corpus_family.sample params in
-  let config = { Corpus_harness.default_config with jobs = 1 } in
-  let report = Corpus_harness.evaluate ~config specs in
-  let again = Corpus_harness.evaluate ~config specs in
-  if report.Corpus_harness.sites <> params.Corpus_family.sites then
-    fail "expected %d sites, evaluated %d" params.Corpus_family.sites
-      report.Corpus_harness.sites;
-  if report.Corpus_harness.errors <> 0 then
-    fail "%d service errors on a clean corpus" report.Corpus_harness.errors;
-  let f1_p50 = report.Corpus_harness.f1.Corpus_harness.d_p50 in
-  if f1_p50 < 0.6 then fail "median F1 %.3f below the 0.6 floor" f1_p50;
-  (* A 24-site sample puts only 2-3 sites in each family, so the smoke
-     margin is wide — one mis-segmented row swings a tiny family by
-     several points. It still catches a family falling off a cliff; the
-     tight (-0.01) enforcement runs at 1000 sites in [corpus_bench]. *)
-  check_family_floors ~epsilon:0.10
-    ~fail:(fun family micro floor ->
-      fail "family %s micro-F %.4f below smoke floor %.4f" family micro floor)
-    report;
-  if report.Corpus_harness.digest <> again.Corpus_harness.digest then
-    fail "accuracy digest not deterministic: %s vs %s"
-      report.Corpus_harness.digest again.Corpus_harness.digest;
+  List.iter
+    (fun (method_, pinned) ->
+      let name = Tabseg.Api.method_name method_ in
+      let config = { Corpus_harness.default_config with jobs = 1; method_ } in
+      let report = Corpus_harness.evaluate ~config specs in
+      let again = Corpus_harness.evaluate ~config specs in
+      if report.Corpus_harness.sites <> params.Corpus_family.sites then
+        fail "%s: expected %d sites, evaluated %d" name
+          params.Corpus_family.sites report.Corpus_harness.sites;
+      if report.Corpus_harness.errors <> 0 then
+        fail "%s: %d service errors on a clean corpus" name
+          report.Corpus_harness.errors;
+      let f1_p50 = report.Corpus_harness.f1.Corpus_harness.d_p50 in
+      (* The floors were benched with the probabilistic method. A 24-site
+         sample puts only 2-3 sites in each family, so the smoke margin
+         is wide — one mis-segmented row swings a tiny family by several
+         points. It still catches a family falling off a cliff; the
+         tight (-0.01) enforcement runs at 1000 sites in
+         [corpus_bench]. *)
+      if method_ = Tabseg.Api.Probabilistic then begin
+        if f1_p50 < 0.6 then fail "median F1 %.3f below the 0.6 floor" f1_p50;
+        check_family_floors ~epsilon:0.10
+          ~fail:(fun family micro floor ->
+            fail "family %s micro-F %.4f below smoke floor %.4f" family micro
+              floor)
+          report
+      end;
+      let digest = report.Corpus_harness.digest in
+      if digest <> again.Corpus_harness.digest then
+        fail "%s: accuracy digest not deterministic: %s vs %s" name digest
+          again.Corpus_harness.digest;
+      if digest <> pinned then
+        fail "%s: accuracy digest %s, pinned %s" name digest pinned;
+      Printf.printf "%s: %d sites, median F1 %.3f, digest %s\n" name
+        report.Corpus_harness.sites f1_p50 digest)
+    corpus_smoke_digests;
   if not !ok then exit 1;
-  Printf.printf
-    "smoke ok: %d sites, median F1 %.3f, digest %s reproduced\n"
-    report.Corpus_harness.sites f1_p50 report.Corpus_harness.digest
+  Printf.printf "smoke ok: both digests reproduced and pinned\n"
 
 (* ------------------------------------------------------------------ *)
 (* Streaming: time-to-first-record vs batch on a cold 10^5-row site    *)

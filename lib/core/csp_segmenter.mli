@@ -7,17 +7,19 @@
     - {e consecutiveness}: only contiguous blocks of extracts may share a
       record — encoded pairwise whenever an intermediate extract cannot
       belong to the record;
-    - {e position}: extracts observed at the same position on a detail page
-      compete for that record — exactly (relaxed: at most) one of them
-      belongs to it;
+    - {e position}: extracts observed at the same positions on a detail
+      page compete for that record — at most as many of them as the page
+      has occurrences there belong to it (in both modes; emitted only when
+      the group outnumbers its slots);
     - {e monotonicity}: records appear in stream order (implied by the
       paper's horizontal-layout assumption, made explicit here).
 
     The strict problem is handed to {!Tabseg_csp.Wsat_oip}; if the local
     search fails, {!Tabseg_csp.Exact} certifies unsatisfiability (paper
-    note "c"), after which the equalities are relaxed to inequalities with a
-    soft preference for assigning every extract (note "d"), yielding a
-    partial segmentation. *)
+    note "c"), after which the uniqueness equalities are relaxed to
+    inequalities (note "d"), yielding a partial segmentation; only the
+    [Coverage] objective adds a soft preference for assigning every
+    extract. *)
 
 open Tabseg_extract
 open Tabseg_csp
@@ -54,9 +56,14 @@ type encoded = {
 }
 
 val encode : ?config:config -> mode -> Observation.t -> encoded
-(** Build the pseudo-boolean problem for an observation table. In [Relaxed]
-    mode all equalities become [≤] and each extract gets a weight-1 soft
-    constraint preferring assignment. *)
+(** Build the pseudo-boolean problem for an observation table: the
+    mode's uniqueness rows (one per entry, in entry order), then the
+    consecutiveness, position and monotonicity rows, which are the same in
+    both modes. In [Relaxed] mode the uniqueness equalities become [≤];
+    only under the [Coverage] objective does each extract also get a
+    weight-1 soft constraint preferring assignment. Every entry's pages
+    must be strictly ascending, as {!Observation} builds them.
+    @raise Invalid_argument otherwise. *)
 
 val segment : ?config:config -> Pipeline.prepared -> Segmentation.t
 (** Run the full strict-then-relax procedure and assemble the segmentation

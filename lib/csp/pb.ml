@@ -19,32 +19,44 @@ let linear terms relation bound =
 let at_most_one vars = linear (List.map (fun v -> (v, 1)) vars) Le 1
 let exactly_one vars = linear (List.map (fun v -> (v, 1)) vars) Eq 1
 
-let validate_linear num_vars { terms; _ } =
-  let seen = Hashtbl.create (Array.length terms) in
-  Array.iter
-    (fun (v, _) ->
-      if v < 0 || v >= num_vars then
-        invalid_arg (Printf.sprintf "Pb.make: variable %d out of range" v);
-      if Hashtbl.mem seen v then
-        invalid_arg (Printf.sprintf "Pb.make: duplicate variable %d" v);
-      Hashtbl.replace seen v ())
-    terms
+(* One stamp per variable, set to the index of the last constraint that
+   named it: a term whose variable already carries the current index is a
+   duplicate. Errors come in constraint order; within one, a term's range
+   check precedes its duplicate check, and the weight check follows the
+   terms. *)
+let validate num_vars constraints =
+  let stamp = Array.make (max 0 num_vars) (-1) in
+  Array.iteri
+    (fun c constraint_ ->
+      let { terms; _ } = match constraint_ with Hard l | Soft (l, _) -> l in
+      Array.iter
+        (fun (v, _) ->
+          if v < 0 || v >= num_vars then
+            invalid_arg (Printf.sprintf "Pb.make: variable %d out of range" v);
+          if stamp.(v) = c then
+            invalid_arg (Printf.sprintf "Pb.make: duplicate variable %d" v);
+          stamp.(v) <- c)
+        terms;
+      match constraint_ with
+      | Soft (_, w) when w <= 0 ->
+        invalid_arg "Pb.make: non-positive soft weight"
+      | Hard _ | Soft _ -> ())
+    constraints
 
-let make ~num_vars constraints =
-  let constraints = Array.of_list constraints in
-  Array.iter
-    (function
-      | Hard l -> validate_linear num_vars l
-      | Soft (l, w) ->
-        validate_linear num_vars l;
-        if w <= 0 then invalid_arg "Pb.make: non-positive soft weight")
-    constraints;
+let of_array ~num_vars constraints =
+  validate num_vars constraints;
   { num_vars; constraints }
 
+let make ~num_vars constraints =
+  of_array ~num_vars (Array.of_list constraints)
+
 let lhs linear assignment =
-  Array.fold_left
-    (fun acc (v, coeff) -> if assignment.(v) then acc + coeff else acc)
-    0 linear.terms
+  let sum = ref 0 in
+  for t = 0 to Array.length linear.terms - 1 do
+    let v, coeff = linear.terms.(t) in
+    if assignment.(v) then sum := !sum + coeff
+  done;
+  !sum
 
 let violation linear assignment =
   let value = lhs linear assignment in

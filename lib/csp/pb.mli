@@ -28,7 +28,12 @@ type problem = {
 val make : num_vars:int -> constraint_ list -> problem
 (** @raise Invalid_argument on a variable outside [0, num_vars), a
     duplicate variable within one constraint, or a non-positive soft
-    weight. *)
+    weight. Constraints are checked in order; within one, each term's
+    range is checked before its duplication, and the weight after the
+    terms. *)
+
+val of_array : num_vars:int -> constraint_ array -> problem
+(** {!make} over an array, which the problem keeps as its constraints. *)
 
 val linear : (int * int) list -> relation -> int -> linear
 

@@ -7,23 +7,6 @@ type state = {
   trail : (int * bool) list ref;
 }
 
-(* For one constraint under the current partial assignment: the fixed
-   contribution and the positive/negative potential of the unknowns. *)
-let bounds state (linear : Pb.linear) =
-  let fixed = ref 0 and positive = ref 0 and negative = ref 0 in
-  let unknowns = ref [] in
-  Array.iter
-    (fun (v, coeff) ->
-      match state.value.(v) with
-      | 1 -> fixed := !fixed + coeff
-      | 0 -> ()
-      | _ ->
-        unknowns := (v, coeff) :: !unknowns;
-        if coeff > 0 then positive := !positive + coeff
-        else negative := !negative + coeff)
-    linear.Pb.terms;
-  (!fixed, !positive, !negative, !unknowns)
-
 exception Found_conflict of string
 
 let assign state v value =
@@ -38,61 +21,75 @@ let assign state v value =
       (Found_conflict
          (Printf.sprintf "variable x%d forced both ways" (v + 1)))
 
-(* Propagate one constraint; true if any variable was newly fixed. *)
+let conflict linear =
+  raise (Found_conflict (Format.asprintf "%a" Pb.pp_linear linear))
+
+(* Propagate one constraint; true if any variable was newly fixed. A
+   first pass sums the fixed contribution and the positive and negative
+   potential of the unknowns; a second forces unknowns from the last term
+   back, the order in which they reach [Fixed]'s trail. *)
 let propagate state (linear : Pb.linear) =
-  let fixed, positive, negative, unknowns = bounds state linear in
-  let lo = fixed + negative and hi = fixed + positive in
-  let describe () = Format.asprintf "%a" Pb.pp_linear linear in
-  let changed = ref false in
-  let force v value = if assign state v value then changed := true in
+  let terms = linear.Pb.terms and bound = linear.Pb.bound in
+  let fixed = ref 0 and positive = ref 0 and negative = ref 0 in
+  for t = 0 to Array.length terms - 1 do
+    let v, coeff = terms.(t) in
+    match state.value.(v) with
+    | 1 -> fixed := !fixed + coeff
+    | 0 -> ()
+    | _ ->
+      if coeff > 0 then positive := !positive + coeff
+      else negative := !negative + coeff
+  done;
+  let lo = !fixed + !negative and hi = !fixed + !positive in
   (match linear.Pb.relation with
-  | Pb.Le ->
-    if lo > linear.Pb.bound then raise (Found_conflict (describe ()));
-    (* A positive unknown whose addition would break the bound must be 0;
-       a negative unknown whose absence would break it must be 1. *)
-    List.iter
-      (fun (v, coeff) ->
-        if coeff > 0 && lo + coeff > linear.Pb.bound then force v false
-        else if coeff < 0 && lo - coeff > linear.Pb.bound then force v true)
-      unknowns
-  | Pb.Ge ->
-    if hi < linear.Pb.bound then raise (Found_conflict (describe ()));
-    List.iter
-      (fun (v, coeff) ->
-        if coeff > 0 && hi - coeff < linear.Pb.bound then force v true
-        else if coeff < 0 && hi + coeff < linear.Pb.bound then force v false)
-      unknowns
-  | Pb.Eq ->
-    if lo > linear.Pb.bound || hi < linear.Pb.bound then
-      raise (Found_conflict (describe ()));
-    List.iter
-      (fun (v, coeff) ->
-        if coeff > 0 then begin
-          if lo + coeff > linear.Pb.bound then force v false
-          else if hi - coeff < linear.Pb.bound then force v true
-        end
-        else begin
-          if lo - coeff > linear.Pb.bound then force v true
-          else if hi + coeff < linear.Pb.bound then force v false
-        end)
-      unknowns);
+  | Pb.Le -> if lo > bound then conflict linear
+  | Pb.Ge -> if hi < bound then conflict linear
+  | Pb.Eq -> if lo > bound || hi < bound then conflict linear);
+  let changed = ref false in
+  for t = Array.length terms - 1 downto 0 do
+    let v, coeff = terms.(t) in
+    if state.value.(v) = -1 then begin
+      (* 0 or 1 when the unknown is forced to that value, else -1. *)
+      let forced =
+        match linear.Pb.relation with
+        | Pb.Le ->
+          (* A positive unknown whose addition would break the bound must
+             be 0; a negative unknown whose absence would break it must
+             be 1. *)
+          if coeff > 0 && lo + coeff > bound then 0
+          else if coeff < 0 && lo - coeff > bound then 1
+          else -1
+        | Pb.Ge ->
+          if coeff > 0 && hi - coeff < bound then 1
+          else if coeff < 0 && hi + coeff < bound then 0
+          else -1
+        | Pb.Eq ->
+          if coeff > 0 then
+            if lo + coeff > bound then 0
+            else if hi - coeff < bound then 1
+            else -1
+          else if lo - coeff > bound then 1
+          else if hi + coeff < bound then 0
+          else -1
+      in
+      if forced >= 0 && assign state v (forced = 1) then changed := true
+    end
+  done;
   !changed
 
 let run (problem : Pb.problem) =
   let state =
     { value = Array.make (max 1 problem.Pb.num_vars) (-1); trail = ref [] }
   in
-  let hard =
-    Array.to_list problem.Pb.constraints
-    |> List.filter_map (function Pb.Hard l -> Some l | Pb.Soft _ -> None)
-  in
   try
     let changed = ref true in
     while !changed do
       changed := false;
-      List.iter
-        (fun linear -> if propagate state linear then changed := true)
-        hard
+      Array.iter
+        (function
+          | Pb.Hard linear -> if propagate state linear then changed := true
+          | Pb.Soft _ -> ())
+        problem.Pb.constraints
     done;
     Fixed (List.rev !(state.trail))
   with Found_conflict message -> Conflict message

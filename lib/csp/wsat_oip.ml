@@ -30,9 +30,18 @@ type row = {
   hard : bool;
 }
 
+(* The rows each variable occurs in, in descending row order: variable
+   [v]'s are [var_row.(k)] with coefficient [var_coeff.(k)] for [k] in
+   [var_start.(v)] .. [var_start.(v + 1) - 1]. Built once per solve. *)
+type incidence = {
+  var_start : int array;
+  var_row : int array;
+  var_coeff : int array;
+}
+
 type state = {
   rows : row array;
-  var_rows : (int * int) array array;  (* var -> (row index, coeff) *)
+  incidence : incidence;
   assignment : bool array;
   lhs : int array;  (* current Σ coeff·x per row *)
   (* Violated-row set with O(1) add/remove: *)
@@ -60,23 +69,36 @@ let make_rows (problem : Pb.problem) hard_weight =
         { terms; relation; bound; weight; hard = false })
     problem.Pb.constraints
 
-let make_var_rows num_vars rows =
-  let buckets = Array.make num_vars [] in
-  Array.iteri
-    (fun r row ->
+let make_incidence num_vars rows =
+  let var_start = Array.make (num_vars + 1) 0 in
+  Array.iter
+    (fun row ->
       Array.iter
-        (fun (v, coeff) -> buckets.(v) <- (r, coeff) :: buckets.(v))
+        (fun (v, _) -> var_start.(v + 1) <- var_start.(v + 1) + 1)
         row.terms)
     rows;
-  Array.map Array.of_list buckets
+  for v = 1 to num_vars do
+    var_start.(v) <- var_start.(v) + var_start.(v - 1)
+  done;
+  let next = Array.sub var_start 0 num_vars in
+  let var_row = Array.make var_start.(num_vars) 0 in
+  let var_coeff = Array.make var_start.(num_vars) 0 in
+  for r = Array.length rows - 1 downto 0 do
+    Array.iter
+      (fun (v, coeff) ->
+        let k = next.(v) in
+        var_row.(k) <- r;
+        var_coeff.(k) <- coeff;
+        next.(v) <- k + 1)
+      rows.(r).terms
+  done;
+  { var_start; var_row; var_coeff }
 
-let init_state problem params rng =
-  let rows = make_rows problem params.hard_weight in
-  let num_vars = problem.Pb.num_vars in
+let init_state rows incidence num_vars params rng =
   let state =
     {
       rows;
-      var_rows = make_var_rows num_vars rows;
+      incidence;
       assignment =
         Array.init num_vars (fun _ ->
             Random.State.float rng 1.0 < params.init_density);
@@ -91,12 +113,12 @@ let init_state problem params rng =
   in
   Array.iteri
     (fun r row ->
-      let lhs =
-        Array.fold_left
-          (fun acc (v, coeff) ->
-            if state.assignment.(v) then acc + coeff else acc)
-          0 row.terms
-      in
+      let lhs = ref 0 in
+      for t = 0 to Array.length row.terms - 1 do
+        let v, coeff = row.terms.(t) in
+        if state.assignment.(v) then lhs := !lhs + coeff
+      done;
+      let lhs = !lhs in
       state.lhs.(r) <- lhs;
       let violation = row_violation row lhs in
       if violation > 0 then begin
@@ -142,66 +164,84 @@ let update_row state r delta =
 let flip state v =
   let now = state.assignment.(v) in
   state.assignment.(v) <- not now;
-  Array.iter
-    (fun (r, coeff) ->
-      let delta = if now then -coeff else coeff in
-      update_row state r delta)
-    state.var_rows.(v)
+  let { var_start; var_row; var_coeff } = state.incidence in
+  for k = var_start.(v) to var_start.(v + 1) - 1 do
+    let coeff = var_coeff.(k) in
+    update_row state var_row.(k) (if now then -coeff else coeff)
+  done
 
 (* Score change if [v] were flipped (without committing). *)
 let flip_delta state v =
   let now = state.assignment.(v) in
-  Array.fold_left
-    (fun acc (r, coeff) ->
-      let row = state.rows.(r) in
-      let delta = if now then -coeff else coeff in
-      let old_violation = row_violation row state.lhs.(r) in
-      let new_violation = row_violation row (state.lhs.(r) + delta) in
-      acc + (row.weight * (new_violation - old_violation)))
-    0 state.var_rows.(v)
+  let { var_start; var_row; var_coeff } = state.incidence in
+  let acc = ref 0 in
+  for k = var_start.(v) to var_start.(v + 1) - 1 do
+    let r = var_row.(k) and coeff = var_coeff.(k) in
+    let row = state.rows.(r) in
+    let delta = if now then -coeff else coeff in
+    let old_violation = row_violation row state.lhs.(r) in
+    let new_violation = row_violation row (state.lhs.(r) + delta) in
+    acc := !acc + (row.weight * (new_violation - old_violation))
+  done;
+  !acc
 
-(* Pick a violated row, preferring hard ones. *)
+(* Pick a violated row, preferring hard ones: one draw over the rows of
+   the preferred class, where draw [k] takes the [k]-th of them counting
+   back from the end of the violated set. [-1] when none is violated. *)
 let pick_violated state rng =
-  if state.violated_count = 0 then None
+  if state.violated_count = 0 then -1
   else begin
-    let hard = ref [] and soft = ref [] in
+    let hard = ref 0 in
     for i = 0 to state.violated_count - 1 do
-      let r = state.violated.(i) in
-      if state.rows.(r).hard then hard := r :: !hard else soft := r :: !soft
+      if state.rows.(state.violated.(i)).hard then incr hard
     done;
-    let pool = if !hard <> [] then !hard else !soft in
-    let n = List.length pool in
-    Some (List.nth pool (Random.State.int rng n))
+    let want_hard = !hard > 0 in
+    let pool = if want_hard then !hard else state.violated_count in
+    let k = Random.State.int rng pool in
+    let picked = ref (-1) and seen = ref 0 in
+    let i = ref (state.violated_count - 1) in
+    while !picked < 0 do
+      let r = state.violated.(!i) in
+      if state.rows.(r).hard = want_hard then begin
+        if !seen = k then picked := r;
+        incr seen
+      end;
+      decr i
+    done;
+    !picked
   end
 
+(* The variable of [row] to flip, or [-1] for an empty row. *)
 let choose_variable state params rng flip_number best_score row =
-  let vars = Array.map fst state.rows.(row).terms in
-  if Array.length vars = 0 then None
+  let terms = state.rows.(row).terms in
+  let count = Array.length terms in
+  if count = 0 then -1
   else if Random.State.float rng 1.0 < params.noise then
-    Some vars.(Random.State.int rng (Array.length vars))
+    fst terms.(Random.State.int rng count)
   else begin
-    let best = ref None in
-    Array.iter
-      (fun v ->
-        let delta = flip_delta state v in
-        let tabu =
-          params.tabu > 0 && flip_number - state.last_flip.(v) <= params.tabu
-        in
-        (* Aspiration: a tabu move is allowed if it beats the best score
-           seen so far. *)
-        let allowed = (not tabu) || state.score + delta < best_score in
-        if allowed then
-          match !best with
-          | Some (_, best_delta) when best_delta <= delta -> ()
-          | _ -> best := Some (v, delta))
-      vars;
-    match !best with
-    | Some (v, _) -> Some v
-    | None -> Some vars.(Random.State.int rng (Array.length vars))
+    let best = ref (-1) and best_delta = ref 0 in
+    for t = 0 to count - 1 do
+      let v = fst terms.(t) in
+      let delta = flip_delta state v in
+      let tabu =
+        params.tabu > 0 && flip_number - state.last_flip.(v) <= params.tabu
+      in
+      (* Aspiration: a tabu move is allowed if it beats the best score
+         seen so far. *)
+      let allowed = (not tabu) || state.score + delta < best_score in
+      if allowed && (!best < 0 || delta < !best_delta) then begin
+        best := v;
+        best_delta := delta
+      end
+    done;
+    if !best >= 0 then !best else fst terms.(Random.State.int rng count)
   end
 
 let solve ?(params = default_params) (problem : Pb.problem) =
   let rng = Random.State.make [| params.seed |] in
+  let num_vars = problem.Pb.num_vars in
+  let rows = make_rows problem params.hard_weight in
+  let incidence = make_incidence num_vars rows in
   let best_assignment = ref (Array.make (max 1 problem.Pb.num_vars) false) in
   let best_feasible = ref false in
   let best_score = ref max_int in
@@ -228,35 +268,37 @@ let solve ?(params = default_params) (problem : Pb.problem) =
   (try
      for _try = 1 to params.max_tries do
        incr tries_used;
-       let state = init_state problem params rng in
+       let state = init_state rows incidence num_vars params rng in
        record state;
        let flip_number = ref 0 in
        let continue = ref true in
        while !continue && !flip_number < params.max_flips do
-         match pick_violated state rng with
-         | None ->
+         let row = pick_violated state rng in
+         if row < 0 then begin
            (* Every constraint satisfied: global optimum. *)
            record state;
            raise Exit
-         | Some row ->
-           (match
-              choose_variable state params rng !flip_number !best_score row
-            with
-           | None -> continue := false
-           | Some v ->
-             flip state v;
-             state.last_flip.(v) <- !flip_number;
-             incr flip_number;
-             incr total_flips;
-             record state)
+         end;
+         let v =
+           choose_variable state params rng !flip_number !best_score row
+         in
+         if v < 0 then continue := false
+         else begin
+           flip state v;
+           state.last_flip.(v) <- !flip_number;
+           incr flip_number;
+           incr total_flips;
+           record state
+         end
        done
      done
    with Exit -> ());
   let assignment = !best_assignment in
+  let hard_violations = Pb.hard_violations problem assignment in
   {
     assignment;
-    feasible = Pb.feasible problem assignment;
-    hard_violations = Pb.hard_violations problem assignment;
+    feasible = hard_violations = 0;
+    hard_violations;
     soft_cost = Pb.soft_cost problem assignment;
     flips_used = !total_flips;
     tries_used = !tries_used;

@@ -1,15 +1,17 @@
-(** Longest common subsequence over arrays, with caller-supplied equality.
+(** Longest common subsequence of two int arrays.
 
-    Used by page-template induction (aligning unique-token sequences across
-    list pages) and by the RoadRunner-style baseline. *)
+    Used by page-template induction, which interns each page's token
+    keys into ints and aligns the sequences of template-eligible keys
+    across list pages. Classic O(n·m) dynamic program over one flat
+    array. *)
 
-val pairs :
-  equal:('a -> 'a -> bool) -> 'a array -> 'a array -> (int * int) list
-(** [pairs ~equal a b] is an LCS of [a] and [b] as index pairs
-    [(i, j)] with [a.(i)] equal to [b.(j)], strictly increasing in both
-    components. Classic O(n·m) dynamic program. *)
+val pairs : int array -> int array -> (int * int) list
+(** [pairs a b] is an LCS of [a] and [b] as index pairs [(i, j)] with
+    [a.(i) = b.(j)], strictly increasing in both components. Where two
+    alignments are equally long the walk prefers advancing in [a], so the
+    result is a fixed function of the inputs. *)
 
-val of_arrays : equal:('a -> 'a -> bool) -> 'a array -> 'a array -> 'a list
-(** The LCS elements themselves (taken from the first array). *)
+val common : int array -> int array -> int array
+(** The elements of {!pairs}, in order. *)
 
-val length : equal:('a -> 'a -> bool) -> 'a array -> 'a array -> int
+val length : int array -> int array -> int

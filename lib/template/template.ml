@@ -2,23 +2,40 @@ open Tabseg_token
 
 type t = { template_keys : string array }
 
-let key_positions page =
-  let positions = Hashtbl.create 256 in
-  Array.iteri
-    (fun i token ->
-      let key = Token.template_key token in
-      Hashtbl.replace positions key
-        (i :: Option.value ~default:[] (Hashtbl.find_opt positions key)))
-    page;
-  positions
+module Keys = Hashtbl.Make (String)
 
-let neighbor_keys page i =
-  let key j =
-    if j < 0 then "^page-start^"
-    else if j >= Array.length page then "^page-end^"
-    else Token.template_key page.(j)
+(* Every key of the pages, interned into a dense int once per induction,
+   in a table local to the call. Equal ids mean equal key strings. The two
+   sentinels stand for the missing neighbours of a page's first and last
+   token; they are interned first (ids 0 and 1), so a word spelled like a
+   sentinel is that same neighbour. *)
+type interned = {
+  ids : int array array;  (* per page, token -> key id *)
+  names : string array;  (* key id -> key *)
+}
+
+let page_start = "^page-start^"
+let page_end = "^page-end^"
+
+let intern pages =
+  let table = Keys.create 1024 in
+  let id key =
+    match Keys.find table key with
+    | id -> id
+    | exception Not_found ->
+      let id = Keys.length table in
+      Keys.add table key id;
+      id
   in
-  (key (i - 1), key (i + 1))
+  ignore (id page_start);
+  ignore (id page_end);
+  let ids =
+    Array.of_list
+      (List.map (Array.map (fun token -> id (Token.template_key token))) pages)
+  in
+  let names = Array.make (Keys.length table) "" in
+  Keys.iter (fun key id -> names.(id) <- key) table;
+  { ids; names }
 
 (* Tokens eligible for the page template must (1) occur exactly once on
    every page, (2) in the same immediate context (previous and next token
@@ -29,110 +46,128 @@ let neighbor_keys page i =
    ineligible, which disqualifies "Betty" as well), while keeping genuine
    per-row structure such as entry enumerators, whose neighbors are the
    same row tags on every page, and chrome sentences, whose neighbors are
-   eligible chrome words. *)
-let unique_everywhere pages =
-  match pages with
-  | [] -> fun _ -> false
-  | _ ->
-    let all_positions = List.map (fun p -> (p, key_positions p)) pages in
-    let base_eligible key =
-      let contexts =
-        List.map
-          (fun (page, positions) ->
-            match Hashtbl.find_opt positions key with
-            | Some [ i ] -> Some (neighbor_keys page i)
-            | Some _ | None -> None)
-          all_positions
-      in
-      match contexts with
-      | Some first :: rest ->
-        List.for_all (fun context -> context = Some first) rest
-      | _ -> false
-    in
-    (* Collect the candidate set once, then erode it at word boundaries. *)
-    let candidates = Hashtbl.create 256 in
-    List.iter
-      (fun (page, _) ->
-        Array.iter
-          (fun token ->
-            let key = Token.template_key token in
-            if (not (Hashtbl.mem candidates key)) && base_eligible key then
-              Hashtbl.replace candidates key ())
-          page)
-      all_positions;
-    let is_tag_key key = String.length key > 0 && key.[0] = '<' in
-    let boundary_key key =
-      key = "^page-start^" || key = "^page-end^"
-    in
-    let neighbor_ok key =
-      is_tag_key key || boundary_key key || Hashtbl.mem candidates key
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (page, positions) ->
-          Hashtbl.iter
-            (fun key () ->
-              match Hashtbl.find_opt positions key with
-              | Some [ i ] ->
-                let previous, next = neighbor_keys page i in
-                if not (neighbor_ok previous && neighbor_ok next) then begin
-                  Hashtbl.remove candidates key;
-                  changed := true
-                end
-              | Some _ | None -> ())
-            (Hashtbl.copy candidates))
-        all_positions
-    done;
-    fun key -> Hashtbl.mem candidates key
+   eligible chrome words.
 
-let filtered_sequence eligible page =
-  Array.of_list
-    (Array.to_list page
-    |> List.filter_map (fun token ->
-           let key = Token.template_key token in
-           if eligible key then Some key else None))
+   Rules 1 and 2 are decided per key from per-page count and position
+   arrays. Since an eligible key has the same neighbors on every page,
+   rule 3 is checked on the first page alone: the greatest set closed
+   under it is reached by removing every candidate with a non-candidate
+   word neighbor, then the candidates next to each removed word, until
+   none is left to remove. *)
+let eligible { ids; names } =
+  let keys = Array.length names in
+  let eligible = Array.make keys false in
+  let first = ids.(0) in
+  let neighbor page p =
+    if p < 0 then 0 else if p >= Array.length page then 1 else page.(p)
+  in
+  (* [count] is all zeros between pages: [clear] undoes [locate]. *)
+  let count = Array.make keys 0 and where = Array.make keys (-1) in
+  let locate page =
+    Array.iteri
+      (fun p id ->
+        count.(id) <- count.(id) + 1;
+        where.(id) <- p)
+      page
+  in
+  let clear page = Array.iter (fun id -> count.(id) <- 0) page in
+  locate first;
+  (* Candidates in first-page order, with their first-page position. *)
+  let candidates = ref [] in
+  for p = Array.length first - 1 downto 0 do
+    if count.(first.(p)) = 1 then begin
+      eligible.(first.(p)) <- true;
+      candidates := p :: !candidates
+    end
+  done;
+  clear first;
+  for page = 1 to Array.length ids - 1 do
+    let page = ids.(page) in
+    locate page;
+    candidates :=
+      List.filter
+        (fun p ->
+          let id = first.(p) in
+          let keep =
+            count.(id) = 1
+            && neighbor page (where.(id) - 1) = neighbor first (p - 1)
+            && neighbor page (where.(id) + 1) = neighbor first (p + 1)
+          in
+          if not keep then eligible.(id) <- false;
+          keep)
+        !candidates;
+    clear page
+  done;
+  let is_tag_key id =
+    let key = names.(id) in
+    String.length key > 0 && key.[0] = '<'
+  in
+  let neighbor_ok id = id < 2 || is_tag_key id || eligible.(id) in
+  let rec erode p =
+    if p >= 0 && p < Array.length first then begin
+      let id = first.(p) in
+      if
+        eligible.(id)
+        && not
+             (neighbor_ok (neighbor first (p - 1))
+             && neighbor_ok (neighbor first (p + 1)))
+      then begin
+        eligible.(id) <- false;
+        if not (is_tag_key id) then begin
+          erode (p - 1);
+          erode (p + 1)
+        end
+      end
+    end
+  in
+  List.iter erode !candidates;
+  eligible
 
 let induce pages =
   match pages with
   | [] -> { template_keys = [||] }
-  | first :: rest ->
-    let eligible = unique_everywhere pages in
-    let initial = filtered_sequence eligible first in
-    let template_keys =
-      List.fold_left
-        (fun acc page ->
-          let candidate = filtered_sequence eligible page in
-          Array.of_list (Lcs.of_arrays ~equal:String.equal acc candidate))
-        initial rest
+  | _ ->
+    let interned = intern pages in
+    let eligible = eligible interned in
+    let sequence page =
+      Array.of_list
+        (Array.fold_right
+           (fun id acc -> if eligible.(id) then id :: acc else acc)
+           page [])
     in
-    { template_keys }
+    let ids = interned.ids in
+    let template = ref (sequence ids.(0)) in
+    for page = 1 to Array.length ids - 1 do
+      template := Lcs.common !template (sequence ids.(page))
+    done;
+    { template_keys = Array.map (fun id -> interned.names.(id)) !template }
 
 let keys t = Array.to_list t.template_keys
 let size t = Array.length t.template_keys
 
+(* The template's own key table: key -> index in the template. *)
+let key_index t =
+  let index = Keys.create (2 * Array.length t.template_keys) in
+  Array.iteri (fun k key -> Keys.replace index key k) t.template_keys;
+  index
+
 let match_positions t page =
-  (* Each template key occurs at most a handful of times; find its unique
-     occurrence and check monotonicity. *)
-  let occurrences = Hashtbl.create 256 in
+  let n = Array.length t.template_keys in
+  let index = key_index t in
+  let positions = Array.make n (-1) in
+  (* A key listed twice in the template can never match. *)
+  let ok = ref (Keys.length index = n) in
   Array.iteri
     (fun i token ->
-      let key = Token.template_key token in
-      Hashtbl.replace occurrences key
-        (i :: Option.value ~default:[] (Hashtbl.find_opt occurrences key)))
+      if !ok then
+        match Keys.find index (Token.template_key token) with
+        | k -> if positions.(k) >= 0 then ok := false else positions.(k) <- i
+        | exception Not_found -> ())
     page;
-  let n = Array.length t.template_keys in
-  let positions = Array.make n (-1) in
-  let ok = ref true in
-  let previous = ref (-1) in
-  for i = 0 to n - 1 do
-    if !ok then
-      match Hashtbl.find_opt occurrences t.template_keys.(i) with
-      | Some [ position ] when position > !previous ->
-        positions.(i) <- position;
-        previous := position
-      | Some _ | None -> ok := false
+  (* Every key must occur, in template order. *)
+  for k = 0 to n - 1 do
+    if positions.(k) < 0 || (k > 0 && positions.(k) <= positions.(k - 1)) then
+      ok := false
   done;
   if !ok then Some positions else None
 
@@ -156,13 +191,13 @@ let slots t page =
     gaps [] boundaries
 
 let covers_words t page =
-  let template = Hashtbl.create 256 in
-  Array.iter (fun key -> Hashtbl.replace template key ()) t.template_keys;
-  Array.to_list page
-  |> List.filter (fun token ->
-         Token.is_word token
-         && Hashtbl.mem template (Token.template_key token))
-  |> List.length
+  let index = key_index t in
+  Array.fold_left
+    (fun acc token ->
+      if Token.is_word token && Keys.mem index (Token.template_key token)
+      then acc + 1
+      else acc)
+    0 page
 
 let pp ppf t =
   Format.fprintf ppf "@[<hov 2>template(%d):@ %a@]"

@@ -29,7 +29,9 @@ val is_separator : t -> bool
 val template_key : t -> string
 (** Equality key used by template induction: tags compare by name and
     start/end polarity only (attribute values such as hrefs vary page to
-    page); words compare by exact text. *)
+    page); words compare by exact text. It is the token's [text], which
+    for a tag is already the canonical [<name>] or [</name>], so it
+    allocates nothing. *)
 
 val equal_for_template : t -> t -> bool
 

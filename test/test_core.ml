@@ -309,6 +309,92 @@ let test_prob_golden_digest () =
     "c82dab1877468d7500451d93c2fc33e1"
     (Digest.to_hex (Digest.string (Buffer.contents buffer)))
 
+(* A hardcoded MD5 over the CSP output and the induced page templates of
+   the twelve built-in sites. For every page of every site it digests
+   the CSP segmentation under three configurations (the paper's relaxed
+   objective, the coverage relaxation and no monotonicity): each
+   record's extracts and columns, the unassigned extracts and the note
+   letters. It also digests [Template.keys] for every list-page ordering
+   the pipeline induces from: batch ([target :: others]) and stream
+   ([unit page :: head without it], with the engine's default head of
+   four pages). A change to template induction, to the CSP encoding's
+   constraint order or to the solver's walk moves it. *)
+let test_csp_golden_digest () =
+  let configs =
+    [
+      ("paper", Tabseg.Csp_segmenter.default_config);
+      ("coverage", Tabseg.Csp_segmenter.coverage_config);
+      ( "unordered",
+        { Tabseg.Csp_segmenter.default_config with
+          Tabseg.Csp_segmenter.monotone = false } );
+    ]
+  in
+  let buffer = Buffer.create (1 lsl 16) in
+  let ids extracts =
+    String.concat "," (List.map (fun e -> string_of_int e.Extract.id) extracts)
+  in
+  let add_keys label pages =
+    let template = Tabseg_template.Template.induce pages in
+    Printf.bprintf buffer "%s:%s\n" label
+      (String.concat " " (Tabseg_template.Template.keys template))
+  in
+  List.iter
+    (fun site ->
+      let generated = Tabseg_sitegen.Sites.generate site in
+      let list_pages =
+        List.map
+          (fun page ->
+            Tabseg_token.Tokenizer.tokenize
+              page.Tabseg_sitegen.Sites.list_html)
+          generated.Tabseg_sitegen.Sites.pages
+      in
+      let head = List.filteri (fun i _ -> i < 4) list_pages in
+      List.iteri
+        (fun unit page ->
+          let others l = List.filteri (fun i _ -> i <> unit) l in
+          add_keys "batch" (page :: others list_pages);
+          add_keys "stream" (page :: others head))
+        list_pages;
+      List.iteri
+        (fun page_index _ ->
+          let list_pages, detail_pages =
+            Tabseg_sitegen.Sites.segmentation_input generated ~page_index
+          in
+          let prepared =
+            Tabseg.Pipeline.prepare { Tabseg.Pipeline.list_pages; detail_pages }
+          in
+          List.iter
+            (fun (label, csp_config) ->
+              let result =
+                Tabseg.Api.solve ~csp_config ~method_:Tabseg.Api.Csp prepared
+              in
+              let segmentation = result.Tabseg.Api.segmentation in
+              Printf.bprintf buffer "%s/%d/%s\n" site.Tabseg_sitegen.Sites.name
+                page_index label;
+              List.iter
+                (fun (record : Tabseg.Segmentation.record) ->
+                  Printf.bprintf buffer "r%d:%s|%s\n" record.number
+                    (ids record.extracts)
+                    (String.concat ","
+                       (List.map
+                          (fun (id, column) -> Printf.sprintf "%d=%d" id column)
+                          record.columns)))
+                segmentation.Tabseg.Segmentation.records;
+              Printf.bprintf buffer "u:%s n:%s\n"
+                (ids segmentation.Tabseg.Segmentation.unassigned)
+                (String.init
+                   (List.length segmentation.Tabseg.Segmentation.notes)
+                   (fun i ->
+                     Tabseg.Segmentation.note_letter
+                       (List.nth segmentation.Tabseg.Segmentation.notes i))))
+            configs)
+        generated.Tabseg_sitegen.Sites.pages)
+    Tabseg_sitegen.Sites.all;
+  Alcotest.(check string)
+    "CSP output and templates on the twelve sites are byte-identical"
+    "3a197d680ffb53c174cacf9812b20a30"
+    (Digest.to_hex (Digest.string (Buffer.contents buffer)))
+
 (* The HMM reports its EM sweeps and its decode as two stages, each once
    per solved site and inside the enclosing [segment.hmm] stage. *)
 let test_prob_stages () =
@@ -487,6 +573,8 @@ let () =
             test_csp_empty_observation;
           Alcotest.test_case "consecutiveness" `Quick test_csp_consecutiveness;
           Alcotest.test_case "monotonicity" `Quick test_csp_monotonicity;
+          Alcotest.test_case "golden digest (twelve sites, three configs)"
+            `Quick test_csp_golden_digest;
         ] );
       ( "prob_segmenter",
         [

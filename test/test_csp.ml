@@ -330,6 +330,174 @@ let prop_opb_roundtrip_random =
         done;
         !ok)
 
+(* ----------------------- Pb.make error order ----------------------- *)
+
+(* The first error [Pb.make] must report, found the plain way: constraints
+   in order, each term's range before its duplication, the soft weight
+   after the terms. *)
+let reference_error num_vars constraints =
+  let check_terms terms =
+    let seen = Hashtbl.create 8 in
+    List.find_map
+      (fun (v, _) ->
+        if v < 0 || v >= num_vars then
+          Some (Printf.sprintf "Pb.make: variable %d out of range" v)
+        else if Hashtbl.mem seen v then
+          Some (Printf.sprintf "Pb.make: duplicate variable %d" v)
+        else begin
+          Hashtbl.replace seen v ();
+          None
+        end)
+      (Array.to_list terms)
+  in
+  List.find_map
+    (function
+      | Pb.Hard l -> check_terms l.Pb.terms
+      | Pb.Soft (l, w) -> (
+        match check_terms l.Pb.terms with
+        | Some _ as error -> error
+        | None ->
+          if w <= 0 then Some "Pb.make: non-positive soft weight" else None))
+    constraints
+
+let prop_make_error_order =
+  QCheck.Test.make ~name:"Pb.make reports the first error in term order"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rand = Random.State.make [| seed |] in
+      let num_vars = Random.State.int rand 5 in
+      let constraints =
+        List.init (Random.State.int rand 5) (fun _ ->
+            let terms =
+              List.init (Random.State.int rand 4) (fun _ ->
+                  (Random.State.int rand (num_vars + 3) - 1, 1))
+            in
+            let l = Pb.linear terms Pb.Le 1 in
+            if Random.State.bool rand then Pb.Hard l
+            else Pb.Soft (l, Random.State.int rand 3 - 1))
+      in
+      let actual =
+        match Pb.make ~num_vars constraints with
+        | _ -> None
+        | exception Invalid_argument message -> Some message
+      in
+      actual = reference_error num_vars constraints)
+
+(* ------------------------ CSP encoding shape ------------------------ *)
+
+module Csp = Tabseg.Csp_segmenter
+module Observation = Tabseg_extract.Observation
+
+(* A random observation table: up to 12 entries over up to 5 detail pages,
+   each with a strictly ascending, non-empty D_i and one or two
+   occurrences per page drawn from a few positions, so that entries share
+   records, positions and blocks often. *)
+let random_observation rand =
+  let num_details = 1 + Random.State.int rand 5 in
+  let entry id =
+    let pages =
+      match
+        List.filter
+          (fun _ -> Random.State.int rand 3 = 0)
+          (List.init num_details Fun.id)
+      with
+      | [] -> [ Random.State.int rand num_details ]
+      | pages -> pages
+    in
+    let positions =
+      List.concat_map
+        (fun page ->
+          List.init
+            (1 + Random.State.int rand 2)
+            (fun _ -> (page, 10 * Random.State.int rand 3)))
+        pages
+    in
+    let extract =
+      {
+        Tabseg_extract.Extract.id;
+        words = [ "w" ];
+        text = "w";
+        start_index = id;
+        stop_index = id + 1;
+        types = 0;
+        first_types = 0;
+      }
+    in
+    { Observation.extract; pages; positions }
+  in
+  {
+    Observation.entries = Array.init (Random.State.int rand 13) entry;
+    extras = [];
+    num_details;
+  }
+
+(* The variable sets of the position rows: entries grouped by their
+   occurrence positions on one page, where more entries than slots
+   compete. They may coincide with a consecutiveness pair, and always
+   could: position rows were never deduplicated. *)
+let position_sets observation (encoded : Csp.encoded) =
+  let var = Hashtbl.create 64 in
+  Array.iteri (fun v key -> Hashtbl.replace var key v) encoded.Csp.variables;
+  let groups = Hashtbl.create 16 in
+  Array.iteri
+    (fun i entry ->
+      List.iter
+        (fun page ->
+          let positions =
+            List.filter_map
+              (fun (p, position) -> if p = page then Some position else None)
+              entry.Observation.positions
+          in
+          if positions <> [] then begin
+            let key = (page, List.sort compare positions) in
+            Hashtbl.replace groups key
+              (i :: Option.value ~default:[] (Hashtbl.find_opt groups key))
+          end)
+        entry.Observation.pages)
+    observation.Observation.entries;
+  Hashtbl.fold
+    (fun (page, positions) members acc ->
+      if List.length members > 1 && List.length members > List.length positions
+      then
+        List.sort compare
+          (List.map (fun i -> Hashtbl.find var (i, page)) members)
+        :: acc
+      else acc)
+    groups []
+
+let prop_encode_no_repeated_sets =
+  QCheck.Test.make
+    ~name:"encode repeats no variable set outside position rows"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rand = Random.State.make [| seed |] in
+      let observation = random_observation rand in
+      let config =
+        { Csp.default_config with
+          Csp.monotone = Random.State.bool rand;
+          relaxed_objective =
+            (if Random.State.bool rand then Csp.Paper else Csp.Coverage) }
+      in
+      List.for_all
+        (fun mode ->
+          let encoded = Csp.encode ~config mode observation in
+          let positional = position_sets observation encoded in
+          let seen = Hashtbl.create 64 in
+          Array.for_all
+            (function
+              | Pb.Soft _ ->
+                (* The coverage row mirrors its entry's hard row. *)
+                true
+              | Pb.Hard l ->
+                let set =
+                  List.sort compare (List.map fst (Array.to_list l.Pb.terms))
+                in
+                let repeated = Hashtbl.mem seen set in
+                Hashtbl.replace seen set ();
+                (not repeated) || List.mem set positional)
+            encoded.Csp.problem.Pb.constraints)
+        [ Csp.Strict; Csp.Relaxed ])
+
 let () =
   Alcotest.run "tabseg_csp"
     [
@@ -342,6 +510,7 @@ let () =
             test_negative_coefficients;
           Alcotest.test_case "make validation" `Quick test_make_validation;
           Alcotest.test_case "costs" `Quick test_costs;
+          QCheck_alcotest.to_alcotest prop_make_error_order;
         ] );
       ( "exact",
         [
@@ -386,5 +555,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_exact_model_is_feasible;
           QCheck_alcotest.to_alcotest prop_opb_roundtrip_random;
+          QCheck_alcotest.to_alcotest prop_encode_no_repeated_sets;
         ] );
     ]

@@ -6,12 +6,11 @@ let check_bool = Alcotest.(check bool)
 
 (* ------------------------------ Lcs ------------------------------ *)
 
-let chars s = Array.init (String.length s) (String.get s)
-let equal_char (a : char) b = a = b
+let chars s = Array.init (String.length s) (fun i -> Char.code s.[i])
 
 let lcs_string a b =
-  Lcs.of_arrays ~equal:equal_char (chars a) (chars b)
-  |> List.to_seq |> String.of_seq
+  Lcs.common (chars a) (chars b)
+  |> Array.to_seq |> Seq.map Char.chr |> String.of_seq
 
 let is_subsequence sub full =
   let n = String.length full in
@@ -42,7 +41,7 @@ let test_lcs_empty () =
   Alcotest.(check string) "right empty" "" (lcs_string "abc" "")
 
 let test_lcs_pairs_monotone () =
-  let pairs = Lcs.pairs ~equal:equal_char (chars "axbycz") (chars "abc") in
+  let pairs = Lcs.pairs (chars "axbycz") (chars "abc") in
   let rec strictly_increasing = function
     | (i1, j1) :: ((i2, j2) :: _ as rest) ->
       i1 < i2 && j1 < j2 && strictly_increasing rest
@@ -56,7 +55,7 @@ let prop_lcs_length_bounds =
     QCheck.(pair (string_of_size (Gen.int_range 0 20))
               (string_of_size (Gen.int_range 0 20)))
     (fun (a, b) ->
-      let n = Lcs.length ~equal:equal_char (chars a) (chars b) in
+      let n = Lcs.length (chars a) (chars b) in
       n <= String.length a && n <= String.length b)
 
 let prop_lcs_symmetric_length =
@@ -64,8 +63,8 @@ let prop_lcs_symmetric_length =
     QCheck.(pair (string_of_size (Gen.int_range 0 15))
               (string_of_size (Gen.int_range 0 15)))
     (fun (a, b) ->
-      Lcs.length ~equal:equal_char (chars a) (chars b)
-      = Lcs.length ~equal:equal_char (chars b) (chars a))
+      Lcs.length (chars a) (chars b)
+      = Lcs.length (chars b) (chars a))
 
 let prop_lcs_is_common_subsequence =
   QCheck.Test.make ~name:"LCS is a subsequence of both inputs" ~count:200
